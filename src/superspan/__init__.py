@@ -30,6 +30,7 @@ from .field import (
     number_field,
     rational_field,
     reduce_mod_prime,
+    root_mod_prime,
 )
 from .linalg import (
     FilterVerdict,
@@ -45,6 +46,7 @@ from .oracles import OracleResult, power_diff_classify, vanishing_subsum_brutefo
 from .orbit import (
     DEFAULT_EXPONENT_BUDGET,
     IterMatrix,
+    ModularOrbit,
     ProjPoint,
     iterate,
     iterate_matrix,

@@ -18,29 +18,35 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations
-from typing import List, Optional, Sequence
+from itertools import combinations, islice
+from math import comb
+from typing import Iterator, List, Optional, Sequence
 
 from . import subsum
 from .errors import ExponentBudgetExceeded, Unsupported, ZeroCoordinate
 from .field import is_prime
 from .linalg import Subspace, modular_rank_filter, span_canonical, super_rank
-from .orbit import ProjPoint, iterate, iterate_matrix, subspace_membership
+from .orbit import ModularOrbit, ProjPoint, iterate, iterate_matrix, subspace_membership
 
 DEFAULT_FILTER_PRIME_COUNT = 3
 DEFAULT_SEED = 0
 
 
+def _prime_stream(seed: int) -> Iterator[int]:
+    """Distinct pseudo-random 30-bit primes, deterministic in the seed."""
+    rng = random.Random(seed)
+    seen = set()
+    while True:
+        candidate = rng.randrange(1 << 29, 1 << 30) | 1
+        if is_prime(candidate) and candidate not in seen:
+            seen.add(candidate)
+            yield candidate
+
+
 def filter_primes(count: int = DEFAULT_FILTER_PRIME_COUNT,
                   seed: int = DEFAULT_SEED) -> List[int]:
     """Deterministic pseudo-random 30-bit primes for the modular filter."""
-    rng = random.Random(seed)
-    primes = []
-    while len(primes) < count:
-        candidate = rng.randrange(1 << 29, 1 << 30) | 1
-        if is_prime(candidate) and candidate not in primes:
-            primes.append(candidate)
-    return primes
+    return list(islice(_prime_stream(seed), count))
 
 
 @dataclass(frozen=True)
@@ -84,7 +90,12 @@ def enumerate_exceptional(P: ProjPoint, d: int, r: int, max_iter: int,
                           prime_count: int = DEFAULT_FILTER_PRIME_COUNT,
                           seed: int = DEFAULT_SEED,
                           budget: Optional[int] = None) -> ExceptionalReport:
-    """Detect every subspace super-spanned by iterates with indices <= M."""
+    """Detect every subspace super-spanned by iterates with indices <= M.
+
+    The filter uses the given primes, the unusable ones included, or
+    else the first prime_count primes of the seeded stream that are
+    usable for P (see ModularOrbit).
+    """
     n = P.dim
     if r == 0:
         raise Unsupported("r = 0 is not defined for super-spanning")
@@ -94,8 +105,9 @@ def enumerate_exceptional(P: ProjPoint, d: int, r: int, max_iter: int,
         raise ZeroCoordinate("detection needs all coordinates nonzero")
     if max_iter < r:
         raise ValueError(f"iterate bound {max_iter} cannot host an (r+1)-tuple")
-    if use_filter and primes is None:
-        primes = filter_primes(prime_count, seed)
+    if use_filter:
+        orbit = (ModularOrbit(P, d, primes) if primes is not None
+                 else ModularOrbit(P, d, _prime_stream(seed), prime_count))
 
     confirmed: List[tuple] = []
     matrices = {}
@@ -104,7 +116,7 @@ def enumerate_exceptional(P: ProjPoint, d: int, r: int, max_iter: int,
     exact_checked = 0
     for m in combinations(range(max_iter + 1), r + 1):
         if use_filter:
-            verdict = modular_rank_filter(P, d, m, r, primes)
+            verdict = modular_rank_filter(orbit, m, r)
             if verdict.certified:
                 filtered_out += 1
                 continue
@@ -140,13 +152,13 @@ def enumerate_exceptional(P: ProjPoint, d: int, r: int, max_iter: int,
     records.sort(key=lambda rec: rec.preimage[0])
 
     diagnostics = {
-        "tuples_total": len(list(combinations(range(max_iter + 1), r + 1))),
+        "tuples_total": comb(max_iter + 1, r + 1),
         "filtered": filtered_out,
         "exact_checked": exact_checked,
         "confirmed": len(confirmed),
         "skipped": skipped,
         "filter_enabled": use_filter,
-        "primes": list(primes) if use_filter else [],
+        "primes": list(orbit.primes) if use_filter else [],
         # the heuristic count of subspaces a generic point can be made to
         # produce; informational only
         "generic_expectation": n // (n - r + 1),

@@ -7,10 +7,12 @@ polynomial of degree < deg(f), stored as a coefficient vector of
 arbitrary-precision rationals (constant term first).  All operations are
 pure and every value is immutable, so values may be shared freely.
 
-Reduction modulo a machine-word prime is provided as the basis of the
-fast rank filter: a ModularResidue lives in F_p[x]/(f mod p) and its
-power operation reduces exponents using the unit-group exponent of that
-quotient, so raising to astronomically large powers stays cheap.
+Reduction modulo a machine-word prime feeds the fast rank filter:
+reduce_mod_prime maps a value into F_p[x]/(f mod p), root_mod_prime
+finds a root a of f mod p, and evaluating the reduction at a is a ring
+homomorphism to F_p, where powers are plain builtin pow calls.
+ModularResidue still carries its quotient-ring arithmetic, which the
+filter no longer uses.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence, Union
 
+from . import modp
 from .errors import (
     BadPrime,
     DivisionByZero,
@@ -116,81 +118,6 @@ def _pxgcd(a, b):
         s0, s1 = s1, _padd(s0, _pneg(_pmul(q, s1)))
         t0, t1 = t1, _padd(t0, _pneg(_pmul(q, t1)))
     return r0, s0, t0
-
-
-# ----------------------------------------------------------------------
-# polynomial helpers over F_p (int coefficient lists, constant first)
-# ----------------------------------------------------------------------
-
-def _mp_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _mp_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            for j, d in enumerate(b):
-                out[i + j] = (out[i + j] + c * d) % p
-    return _mp_trim(out)
-
-
-def _mp_mod(a, f, p):
-    # f monic mod p
-    a = list(a)
-    while len(a) >= len(f):
-        c = a[-1]
-        if c:
-            shift = len(a) - len(f)
-            for i in range(len(f) - 1):
-                a[shift + i] = (a[shift + i] - c * f[i]) % p
-        a.pop()
-    return _mp_trim(a)
-
-
-def _mp_divmod(a, b, p):
-    q: list = []
-    r = list(a)
-    inv_lead = pow(b[-1], p - 2, p)
-    while len(r) >= len(b) and r:
-        c = (r[-1] * inv_lead) % p
-        shift = len(r) - len(b)
-        while len(q) <= shift:
-            q.append(0)
-        q[shift] = (q[shift] + c) % p
-        for i in range(len(b)):
-            r[shift + i] = (r[shift + i] - c * b[i]) % p
-        _mp_trim(r)
-    return _mp_trim(q), r
-
-
-def _mp_sub(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return _mp_trim(out)
-
-
-def _mp_xgcd(a, b, p):
-    # returns (g, s) with s*a = g (mod b); g is the gcd up to a unit
-    r0, r1 = list(a), list(b)
-    s0, s1 = [1], []
-    while r1:
-        q, r = _mp_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _mp_sub(s0, _mp_mul(q, s1, p), p)
-    return r0, s0
-
-
-def _mp_deriv(a, p):
-    return _mp_trim([(i * c) % p for i, c in enumerate(a)][1:])
 
 
 # ----------------------------------------------------------------------
@@ -465,7 +392,6 @@ class FieldValue:
 # reduction modulo a prime
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _unit_group_exponent(p: int, degree: int) -> int:
     """A multiple of every unit order in F_p[x]/(f), f squarefree of the
     given degree: lcm(p^j - 1) over j = 1..degree."""
@@ -519,8 +445,9 @@ class ModularResidue:
         p = self.prime
         if self.modulus is None:
             return ModularResidue(p, ((self.coeffs[0] * other.coeffs[0]) % p,), None)
-        prod = _mp_mul(_mp_trim(list(self.coeffs)), _mp_trim(list(other.coeffs)), p)
-        red = _mp_mod(prod, list(self.modulus), p)
+        prod = modp.poly_mul(modp.poly_trim(list(self.coeffs)),
+                             modp.poly_trim(list(other.coeffs)), p)
+        red = modp.poly_mod(prod, list(self.modulus), p)
         red += [0] * (len(self.coeffs) - len(red))
         return ModularResidue(p, tuple(red), self.modulus)
 
@@ -530,11 +457,11 @@ class ModularResidue:
             raise DivisionByZero("inverse of zero residue")
         if self.modulus is None:
             return ModularResidue(p, (pow(self.coeffs[0], p - 2, p),), None)
-        g, s = _mp_xgcd(_mp_trim(list(self.coeffs)), list(self.modulus), p)
+        g, s = modp.poly_xgcd(modp.poly_trim(list(self.coeffs)), list(self.modulus), p)
         if len(g) != 1:
             raise NonInvertible("residue is a zero divisor mod p")
         ginv = pow(g[0], p - 2, p)
-        inv = _mp_mod([(c * ginv) % p for c in s], list(self.modulus), p)
+        inv = modp.poly_mod([(c * ginv) % p for c in s], list(self.modulus), p)
         inv += [0] * (len(self.coeffs) - len(inv))
         return ModularResidue(p, tuple(inv), self.modulus)
 
@@ -570,6 +497,15 @@ class ModularResidue:
         return self._pow_raw(e_red)
 
 
+def _min_poly_mod(ambient: FieldDesc, p: int) -> list:
+    fmodp = []
+    for c in ambient.min_poly:
+        if c.denominator % p == 0:
+            raise BadPrime(f"denominator of minimal polynomial collides with {p}")
+        fmodp.append((c.numerator * pow(c.denominator % p, p - 2, p)) % p)
+    return fmodp
+
+
 def reduce_mod_prime(a: FieldValue, p: int) -> ModularResidue:
     """Image of a in F_p[x]/(f mod p).
 
@@ -587,15 +523,28 @@ def reduce_mod_prime(a: FieldValue, p: int) -> ModularResidue:
         num = c.numerator % p
         den_inv = pow(c.denominator % p, p - 2, p)
         return ModularResidue(p, ((num * den_inv) % p,), None)
-    fmodp = []
-    for c in a.ambient.min_poly:
-        if c.denominator % p == 0:
-            raise BadPrime(f"denominator of minimal polynomial collides with {p}")
-        fmodp.append((c.numerator * pow(c.denominator % p, p - 2, p)) % p)
-    g, _ = _mp_xgcd(_mp_trim(list(fmodp)), _mp_deriv(fmodp, p), p)
+    fmodp = _min_poly_mod(a.ambient, p)
+    g, _ = modp.poly_xgcd(modp.poly_trim(list(fmodp)), modp.poly_deriv(fmodp, p), p)
     if len(g) != 1:
         raise BadPrime(f"minimal polynomial is not squarefree mod {p}")
     coeffs = []
     for c in a.coeffs:
         coeffs.append((c.numerator * pow(c.denominator % p, p - 2, p)) % p)
     return ModularResidue(p, tuple(coeffs), tuple(fmodp))
+
+
+def root_mod_prime(ambient: FieldDesc, p: int) -> Optional[int]:
+    """The least root in F_p of the minimal polynomial reduced mod p, or
+    None when it has no root there; 0 (the trivial root) for the
+    rationals.
+
+    Evaluating the reduction of a value at this root is a ring
+    homomorphism to F_p.  Raises BadPrime when p is not prime or divides
+    a denominator of the minimal polynomial.
+    """
+    if p < 2 or not is_prime(p):
+        raise BadPrime(f"{p} is not prime")
+    if ambient.min_poly is None:
+        return 0
+    roots = modp.poly_roots(_min_poly_mod(ambient, p), p)
+    return roots[0] if roots else None

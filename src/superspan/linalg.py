@@ -7,11 +7,12 @@ is the canonical representation used to deduplicate the map from
 iterate tuples to their spans.
 
 The modular rank filter certifies full rank of an iterate matrix from a
-single prime: every minor maps homomorphically to the quotient
-F_p[x]/(f mod p), so a unit pivot elimination succeeding mod p proves a
-nonzero minor exactly.  Exponents of matrix entries reduce through the
-unit-group exponent of the quotient, which keeps the filter cost
-independent of the size of d^m.
+single prime.  Evaluating a value at a root of f mod p is a ring
+homomorphism to F_p, so every minor maps to its image there, and a
+nonzero minor found by elimination on plain ints mod p proves a nonzero
+minor exactly.  Entries are v ** e with e = d^m mod (p-1), or p-1 when
+that is 0 so a zero entry stays zero (Fermat), which keeps the filter
+cost independent of the size of d^m.
 """
 
 from __future__ import annotations
@@ -21,14 +22,8 @@ from fractions import Fraction
 from math import lcm
 from typing import List, Optional, Sequence
 
-from .errors import (
-    AllPrimesBad,
-    BadPrime,
-    DivisionByZero,
-    NonInvertible,
-    ShapeMismatch,
-)
-from .field import FieldDesc, FieldValue, ModularResidue, RATIONAL, reduce_mod_prime
+from .errors import ShapeMismatch
+from .field import FieldDesc, FieldValue, RATIONAL
 
 
 def _coerce_rows(rows) -> List[List[FieldValue]]:
@@ -266,70 +261,46 @@ class FilterVerdict:
     diagnostics: dict = dc_field(default_factory=dict)
 
 
-def _modular_rank(rows: List[List[ModularResidue]]) -> Optional[int]:
-    """Elimination over F_p[x]/(f mod p) using unit pivots.  Returns None
-    when a column has nonzero entries but no invertible pivot, in which
-    case this prime cannot certify anything."""
-    nrows = len(rows)
-    ncols = len(rows[0])
-    pivot_row = 0
-    for col in range(ncols):
-        if pivot_row >= nrows:
-            break
-        pr = None
-        inv = None
-        stuck = False
-        for r in range(pivot_row, nrows):
-            if not rows[r][col].is_zero():
-                try:
-                    inv = rows[r][col].inverse()
-                    pr = r
-                    break
-                except (NonInvertible, DivisionByZero):
-                    stuck = True
+def _rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
+    """Rank over F_p of a matrix of residues in 0..p-1."""
+    rows = [list(row) for row in rows]
+    rank_count = 0
+    for col in range(len(rows[0])):
+        pr = next((i for i in range(rank_count, len(rows)) if rows[i][col]), None)
         if pr is None:
-            if stuck:
-                return None
             continue
-        rows[pivot_row], rows[pr] = rows[pr], rows[pivot_row]
-        rows[pivot_row] = [v * inv for v in rows[pivot_row]]
-        for r in range(pivot_row + 1, nrows):
-            f = rows[r][col]
-            if not f.is_zero():
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[pivot_row])]
-        pivot_row += 1
-    return pivot_row
+        rows[rank_count], rows[pr] = rows[pr], rows[rank_count]
+        pivot_row = rows[rank_count]
+        piv = pivot_row[col]
+        for i in range(rank_count + 1, len(rows)):
+            f = rows[i][col]
+            if f:
+                rows[i] = [(a * piv - f * b) % p for a, b in zip(rows[i], pivot_row)]
+        rank_count += 1
+        if rank_count == len(rows):
+            break
+    return rank_count
 
 
-def modular_rank_filter(point, d: int, m: Sequence[int], r: int,
-                        primes: Sequence[int]) -> FilterVerdict:
+def modular_rank_filter(orbit, m: Sequence[int], r: int) -> FilterVerdict:
     """Try to certify rank r+1 of the iterate matrix A_m modulo a prime.
 
-    Entry (i, j) is computed as residue_j ** (d ** m_i) with the exponent
-    reduced through the modular unit group, so no large integers are
-    ever formed.  A full-rank verdict is exact; anything else is only
-    'candidate' and must be confirmed by exact arithmetic.
+    orbit is the run's ModularOrbit: its row for (p, m_i) is the image
+    of row i of A_m under a ring homomorphism to F_p, so no large integer
+    is ever formed.  Primes are tried in order; a full-rank verdict is
+    exact, anything else is only 'candidate' and must be confirmed by
+    exact arithmetic.
     """
     m = tuple(m)
     if len(m) != r + 1:
         raise ShapeMismatch(f"tuple length {len(m)} does not match r = {r}")
-    coords = point.coords
     bad = []
     ranks = {}
-    for p in primes:
-        try:
-            residues = [reduce_mod_prime(c, p) for c in coords]
-        except BadPrime as exc:
-            bad.append((p, str(exc)))
+    for p in orbit.primes:
+        if p in orbit.bad_primes:
+            bad.append((p, orbit.bad_primes[p]))
             continue
-        rows = [[res.pow_tower(d, mi) for res in residues] for mi in m]
-        mod_rank = _modular_rank(rows)
-        if mod_rank is None:
-            bad.append((p, "no invertible pivot"))
-            continue
-        ranks[p] = mod_rank
-        if mod_rank == r + 1:
+        ranks[p] = _rank_mod_p([orbit.row(p, mi) for mi in m], p)
+        if ranks[p] == r + 1:
             return FilterVerdict(True, p, {"ranks": ranks, "bad_primes": bad})
-    if not ranks:
-        raise AllPrimesBad(f"no usable filter prime among {list(primes)}")
     return FilterVerdict(False, None, {"ranks": ranks, "bad_primes": bad})

@@ -1,0 +1,123 @@
+"""Polynomials over F_p for a prime p, and their roots.
+
+Polynomials are int coefficient lists reduced mod p, constant term
+first, with trailing zeros trimmed ([] is the zero polynomial).
+"""
+
+
+def poly_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def poly_mul(a, b, p):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                out[i + j] = (out[i + j] + c * d) % p
+    return poly_trim(out)
+
+
+def poly_mod(a, f, p):
+    # f monic mod p
+    a = list(a)
+    while len(a) >= len(f):
+        c = a[-1]
+        if c:
+            shift = len(a) - len(f)
+            for i in range(len(f) - 1):
+                a[shift + i] = (a[shift + i] - c * f[i]) % p
+        a.pop()
+    return poly_trim(a)
+
+
+def poly_divmod(a, b, p):
+    q: list = []
+    r = list(a)
+    inv_lead = pow(b[-1], p - 2, p)
+    while len(r) >= len(b) and r:
+        c = (r[-1] * inv_lead) % p
+        shift = len(r) - len(b)
+        while len(q) <= shift:
+            q.append(0)
+        q[shift] = (q[shift] + c) % p
+        for i in range(len(b)):
+            r[shift + i] = (r[shift + i] - c * b[i]) % p
+        poly_trim(r)
+    return poly_trim(q), r
+
+
+def poly_sub(a, b, p):
+    n = max(len(a), len(b))
+    out = [0] * n
+    for i, c in enumerate(a):
+        out[i] = c
+    for i, c in enumerate(b):
+        out[i] = (out[i] - c) % p
+    return poly_trim(out)
+
+
+def poly_xgcd(a, b, p):
+    # returns (g, s) with s*a = g (mod b); g is the gcd up to a unit
+    r0, r1 = list(a), list(b)
+    s0, s1 = [1], []
+    while r1:
+        q, r = poly_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, poly_sub(s0, poly_mul(q, s1, p), p)
+    return r0, s0
+
+
+def poly_deriv(a, p):
+    return poly_trim([(i * c) % p for i, c in enumerate(a)][1:])
+
+
+def poly_gcd(a, b, p):
+    # the monic gcd
+    g, _ = poly_xgcd(a, b, p)
+    inv_lead = pow(g[-1], p - 2, p)
+    return [(c * inv_lead) % p for c in g]
+
+
+def poly_powmod(a, e, f, p):
+    # a**e modulo a monic f
+    result, base = [1], poly_mod(a, f, p)
+    while e:
+        if e & 1:
+            result = poly_mod(poly_mul(result, base, p), f, p)
+        e >>= 1
+        if e:
+            base = poly_mod(poly_mul(base, base, p), f, p)
+    return result
+
+
+def poly_roots(f, p):
+    """The distinct roots in F_p of a monic f of positive degree.
+
+    g = gcd(x^p - x, f) is the product of the distinct linear factors of
+    f, and Cantor-Zassenhaus splits it: gcd((x + delta)^((p-1)/2) - 1, h)
+    is a proper factor of h for some delta in F_p (Cohen, A Course in
+    Computational Algebraic Number Theory, 1.6 and 3.4).  delta runs
+    through 0, 1, 2, ... so the result does not depend on any random state.
+    """
+    g = poly_gcd(f, poly_sub(poly_powmod([0, 1], p, f, p), [0, 1], p), p)
+    roots = []
+    pending = [g]
+    while pending:
+        h = pending.pop()
+        if len(h) == 2:
+            roots.append(-h[0] % p)
+        elif len(h) > 2 and p == 2:
+            roots += [0, 1]  # h = x^2 + x
+        elif len(h) > 2:
+            for delta in range(p):
+                s = poly_sub(poly_powmod([delta, 1], (p - 1) // 2, h, p), [1], p)
+                k = poly_gcd(h, s, p)
+                if 1 < len(k) < len(h):
+                    pending += [k, poly_divmod(h, k, p)[0]]
+                    break
+    return sorted(roots)

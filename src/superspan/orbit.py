@@ -7,22 +7,26 @@ field has roots of unity the cost is tiny, but over the rationals the
 bit size of entries doubles with every iterate, so exact materialization
 is guarded by a configurable budget on the exponent d^m.  IterMatrix is
 therefore a lazy handle: rank queries should prefer the modular filter
-and only materialize entries when a tuple survives it.
+and only materialize entries when a tuple survives it.  ModularOrbit
+holds the orbit modulo the filter primes of one run, as rows of ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import islice
+from typing import Iterable, Optional, Sequence
 
 from . import linalg
 from .errors import (
+    AllPrimesBad,
+    BadPrime,
     DimensionMismatch,
     ExponentBudgetExceeded,
     TupleTooLong,
     ZeroCoordinate,
 )
-from .field import FieldDesc, FieldValue, rational_field
+from .field import FieldDesc, FieldValue, rational_field, reduce_mod_prime, root_mod_prime
 
 DEFAULT_EXPONENT_BUDGET = 2 ** 40
 
@@ -159,6 +163,85 @@ def iterate_matrix(P: ProjPoint, d: int, m: Sequence[int],
     if len(m) > len(P.coords):
         raise TupleTooLong(f"tuple of length {len(m)} in P^{P.dim}")
     return IterMatrix(P, d, m, budget)
+
+
+class ModularOrbit:
+    """The orbit of a point reduced modulo the filter primes of one run.
+
+    Coordinate j maps to v_j in F_p: its image in F_p[x]/(f mod p),
+    evaluated at a root of f mod p (the trivial root for the rationals).
+    That is a ring homomorphism, so the row of iterate m is
+    v_j ** (d^m) = pow(v_j, e, p) by Fermat, with e = d^m mod (p-1)
+    taken as p-1 when it is 0, which keeps a zero image 0.
+    Rows are computed lazily, once per (prime, iterate index).
+
+    A prime is unusable for the point, and listed in bad_primes with a
+    reason, when it divides a denominator, or when f mod p is not
+    squarefree or has no root.
+
+    With count None every given prime is a filter prime, the unusable
+    ones included; otherwise primes are drawn from the iterable until
+    count usable ones are found, and the unusable ones are passed over.
+    At most DRAWS_PER_PRIME * count * deg f primes are drawn: an
+    irreducible f has a root mod p for a share of at least 1/deg f of
+    the primes (Chebotarev), but a non-squarefree f is unusable at every
+    prime.  Fewer than count usable primes are kept when the draws run
+    out.
+    Raises AllPrimesBad when no prime is usable.
+    """
+
+    DRAWS_PER_PRIME = 20
+
+    def __init__(self, point: ProjPoint, d: int, primes: Iterable[int],
+                 count: Optional[int] = None):
+        self.point = point
+        self.degree = d
+        self.primes = []       # the filter primes, in the order given
+        self.roots = {}        # usable prime -> the root of f mod p used
+        self.bad_primes = {}   # unusable filter prime -> reason
+        self._values = {}      # usable prime -> coordinate images v_j
+        self._rows = {}        # (prime, iterate index) -> row of residues
+        if count is not None:
+            primes = islice(primes, self.DRAWS_PER_PRIME * count * point.ambient.degree)
+        reason = None
+        for p in primes:
+            if count is not None and len(self._values) >= count:
+                break
+            reason = self._reduce(p)
+            if reason is None:
+                self.primes.append(p)
+            elif count is None:
+                self.primes.append(p)
+                self.bad_primes[p] = reason
+        if not self._values:
+            raise AllPrimesBad(f"no usable filter prime among those tried; last: {reason}")
+
+    def _reduce(self, p: int) -> Optional[str]:
+        """Record the images of the coordinates mod p; the reason p is
+        unusable, or None."""
+        try:
+            root = root_mod_prime(self.point.ambient, p)
+            if root is None:
+                return f"minimal polynomial has no root mod {p}"
+            values = []
+            for c in self.point.coords:
+                v = 0
+                for a in reversed(reduce_mod_prime(c, p).coeffs):
+                    v = (v * root + a) % p
+                values.append(v)
+        except BadPrime as exc:
+            return str(exc)
+        self.roots[p] = root
+        self._values[p] = values
+        return None
+
+    def row(self, p: int, m: int) -> tuple:
+        """Residues of the m-th iterate modulo the usable prime p."""
+        row = self._rows.get((p, m))
+        if row is None:
+            e = pow(self.degree, m, p - 1) or p - 1
+            row = self._rows[p, m] = tuple(pow(v, e, p) for v in self._values[p])
+        return row
 
 
 def subspace_membership(Q: ProjPoint, L: linalg.Subspace) -> bool:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 from superspan.cli import main
 
@@ -183,3 +184,13 @@ def test_analyze_bullet_mode_r4(capsys):
 
 def test_unknown_command(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_detect_golden_report(capsys):
+    """The full detect document, diagnostics included, is pinned byte for
+    byte; a change of filter kernel must not move it for rational points."""
+    golden = Path(__file__).with_name("golden") / "detect_1_2_-3_r2_M8.json"
+    code, out, _ = run_cli(capsys, "detect", "--point", "[1,2,-3]",
+                           "--d", "2", "--r", "2", "--max-iter", "8")
+    assert code == 0
+    assert out == golden.read_text()

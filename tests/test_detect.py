@@ -1,12 +1,14 @@
 import pytest
 
 from superspan import field
+from superspan.constructions import sextic_point
 from superspan.detect import (
+    DEFAULT_FILTER_PRIME_COUNT,
     enumerate_exceptional,
     filter_primes,
     intersection_count,
 )
-from superspan.errors import Unsupported, ZeroCoordinate
+from superspan.errors import AllPrimesBad, NonInvertible, Unsupported, ZeroCoordinate
 from superspan.linalg import span_canonical
 from superspan.orbit import ProjPoint, iterate
 
@@ -134,3 +136,63 @@ def test_quadric_point_detection():
     report = enumerate_exceptional(P, 2, 3, 5)
     slow = enumerate_exceptional(P, 2, 3, 5, use_filter=False)
     assert report.semantic_content() == slow.semantic_content()
+
+
+def _default_primes(P, d, r, M, seed=0):
+    return enumerate_exceptional(P, d, r, M, seed=seed).diagnostics["primes"]
+
+
+def test_default_primes_have_roots():
+    C5 = field.cyclotomic_field(5)
+    z5 = ProjPoint(C5, [C5.one(), C5.gen(), C5.from_rational(2), C5.from_rational(3)])
+    for P, r, M in [(z5, 3, 5), (sextic_point(), 2, 4)]:
+        primes = _default_primes(P, 2, r, M)
+        assert len(primes) == DEFAULT_FILTER_PRIME_COUNT
+        stream = filter_primes(200, seed=0)
+        assert [p for p in stream if p in primes] == primes  # drawn in stream order
+        for p in primes:
+            root = field.root_mod_prime(P.ambient, p)
+            assert root is not None
+            f = [c.numerator * pow(c.denominator, -1, p) for c in P.ambient.min_poly]
+            assert sum(c * pow(root, i, p) for i, c in enumerate(f)) % p == 0
+        assert all(p % 5 == 1 for p in _default_primes(z5, 2, 3, 5))
+
+
+def test_default_primes_follow_the_seed():
+    P = sextic_point()
+    assert _default_primes(P, 2, 2, 4, seed=7) == _default_primes(P, 2, 2, 4, seed=7)
+    assert _default_primes(P, 2, 2, 4, seed=7) != _default_primes(P, 2, 2, 4, seed=8)
+    # a 30-bit prime never divides a small rational coordinate, so rational
+    # points keep the first primes of the stream
+    assert _default_primes(ProjPoint.rational([1, 2, -3]), 2, 2, 3, seed=7) == \
+        filter_primes(DEFAULT_FILTER_PRIME_COUNT, seed=7)
+
+
+def test_explicit_primes_without_root_are_bad():
+    C5 = field.cyclotomic_field(5)
+    P = ProjPoint(C5, [C5.one(), C5.gen()])
+    report = enumerate_exceptional(P, 2, 1, 5, primes=[10007, 10061])
+    assert report.diagnostics["primes"] == [10007, 10061]
+    slow = enumerate_exceptional(P, 2, 1, 5, use_filter=False)
+    assert report.semantic_content() == slow.semantic_content()
+    with pytest.raises(AllPrimesBad):
+        enumerate_exceptional(P, 2, 1, 5, primes=[10007])
+
+
+@pytest.mark.parametrize("min_poly", [[0, 0, 1], [1, -2, 1]])
+def test_default_primes_give_up_when_f_is_not_squarefree(min_poly):
+    # x^2 and (x - 1)^2 are not squarefree mod any prime
+    K = field.number_field(min_poly)
+    P = ProjPoint(K, [K.one(), K.gen() + 2])
+    with pytest.raises(AllPrimesBad):
+        enumerate_exceptional(P, 2, 1, 5)
+
+
+def test_coordinate_vanishing_at_every_root():
+    # x - 1 maps to 0 at the least root 1 of x^2 - 1 mod every odd p; the
+    # filter never certifies, and the exact check meets the zero divisor
+    K = field.number_field([-1, 0, 1])
+    P = ProjPoint(K, [K.one(), K.gen() - 1])
+    for use_filter in (True, False):
+        with pytest.raises(NonInvertible):
+            enumerate_exceptional(P, 2, 1, 5, use_filter=use_filter)

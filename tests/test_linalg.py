@@ -5,7 +5,7 @@ import pytest
 
 from superspan import field, linalg
 from superspan.errors import AllPrimesBad, ShapeMismatch
-from superspan.orbit import ProjPoint, iterate_matrix
+from superspan.orbit import ModularOrbit, ProjPoint, iterate_matrix
 
 Q = field.rational_field()
 
@@ -85,33 +85,33 @@ def test_span_representative_invariance():
 
 def test_modular_filter_certifies_generic():
     P = ProjPoint.rational([1, 2, 3])
-    verdict = linalg.modular_rank_filter(P, 2, (0, 1, 2), 2, [10007])
+    verdict = linalg.modular_rank_filter(ModularOrbit(P, 2, [10007]), (0, 1, 2), 2)
     assert verdict.certified
     assert verdict.prime == 10007
 
 
 def test_modular_filter_candidate():
     P = ProjPoint.rational([1, 2, -3])
-    verdict = linalg.modular_rank_filter(P, 2, (0, 1, 2), 2, [10007, 65537, 1000003])
+    orbit = ModularOrbit(P, 2, [10007, 65537, 1000003])
+    verdict = linalg.modular_rank_filter(orbit, (0, 1, 2), 2)
     assert not verdict.certified
 
 
 def test_modular_filter_all_primes_bad():
     P = ProjPoint.rational([1, Fraction(1, 7), 3])
     with pytest.raises(AllPrimesBad):
-        linalg.modular_rank_filter(P, 2, (0, 1, 2), 2, [7])
+        linalg.modular_rank_filter(ModularOrbit(P, 2, [7]), (0, 1, 2), 2)
 
 
 def test_modular_rank_below_exact():
     rng = random.Random(17)
     for _ in range(20):
         data = [[rng.randint(-20, 20) for _ in range(4)] for _ in range(3)]
-        rows = qrows(data)
-        exact = linalg.rank(rows)
-        p = 1009
-        mod_rows = [[field.reduce_mod_prime(v, p) for v in row] for row in rows]
-        mod_rank = linalg._modular_rank(mod_rows)
-        assert mod_rank is not None and mod_rank <= exact
+        exact = linalg.rank(qrows(data))
+        for p in (2, 3, 1009):
+            mod_rows = [[x % p for x in row] for row in data]
+            assert linalg._rank_mod_p(mod_rows, p) <= exact
+        assert linalg._rank_mod_p([[x % 1009 for x in row] for row in data], 1009) == exact
 
 
 def test_filter_never_certifies_true_exceptional():
@@ -122,7 +122,7 @@ def test_filter_never_certifies_true_exceptional():
     for m in combinations(range(5), 3):
         A = iterate_matrix(P, 2, m)
         exact_rank = linalg.rank(A)
-        verdict = linalg.modular_rank_filter(P, 2, m, 2, [10007, 65537])
+        verdict = linalg.modular_rank_filter(ModularOrbit(P, 2, [10007, 65537]), m, 2)
         if verdict.certified:
             assert exact_rank == 3
 
@@ -131,11 +131,12 @@ def test_cyclotomic_filter_matches_exact():
     C5 = field.cyclotomic_field(5)
     z = C5.gen()
     P = ProjPoint(C5, [C5.one(), z, C5.from_rational(2), C5.from_rational(3)])
-    # iterates 0, 4, 8 of d=2 agree in the zeta coordinate (2^n mod 5 cycle)
-    verdict = linalg.modular_rank_filter(P, 2, (0, 4, 8), 2, [10007])
+    # iterates 0, 4, 8 of d=2 agree in the zeta coordinate (2^n mod 5 cycle);
+    # 10061 = 1 (mod 5), so Phi_5 has a root there
+    verdict = linalg.modular_rank_filter(ModularOrbit(P, 2, [10061]), (0, 4, 8), 2)
     A = iterate_matrix(P, 2, (0, 4, 8))
-    if verdict.certified:
-        assert linalg.rank(A) == 3
+    assert verdict.certified and verdict.prime == 10061
+    assert linalg.rank(A) == 3
 
 
 def _naive_fraction_rank(data):

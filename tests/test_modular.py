@@ -1,0 +1,237 @@
+"""The modular kernel: roots of f mod p, the residue rows of ModularOrbit,
+and the soundness of the rank filter, over Q, Q(zeta_5) and the sextic."""
+
+from fractions import Fraction
+from itertools import chain, repeat
+from math import log
+
+import pytest
+from hypothesis import event, example, given, settings, strategies as st
+
+from superspan import field, linalg
+from superspan.constructions import sextic_field, sextic_point
+from superspan.errors import AllPrimesBad, BadPrime
+from superspan.orbit import ModularOrbit, ProjPoint, iterate_matrix
+
+Q = field.rational_field()
+C5 = field.cyclotomic_field(5)
+K6 = sextic_field()
+ZETA = C5.gen()
+ALPHA = K6.gen()
+
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+# field -> (small nonzero values that make structured points, filter primes
+# to draw from, cap on d^m so exact iterates stay cheap).  The primes mix
+# usable ones with ones that have no root of f (7 for Q(zeta_5); 3 and 7
+# for the sextic), collide with a denominator (2 for the sextic) or make
+# f mod p non-squarefree (5 for Q(zeta_5)).
+FIELDS = {
+    "Q": ([Q.from_rational(c) for c in (1, -1, 2, -2, 3, -3, 6, 97, Fraction(1, 2))],
+          [2, 3, 5, 7, 11, 13, 97, 10007], 8000),
+    "C5": ([ZETA, ZETA ** 2, -C5.one(), ZETA - 3, C5.from_rational(2), ZETA + 1],
+           [5, 7, 11, 31, 41, 61, 10061], 1000),
+    "sextic": ([ALPHA, -K6.one() - ALPHA, K6.from_rational(2), ALPHA * ALPHA],
+               [2, 3, 7, 31, 83, 101, 257], 256),
+}
+DEGREES = (2, 3, 6, 10)
+
+
+def poly_mod(ambient, p):
+    """f mod p, constant term first (x for the rationals, whose trivial
+    root is 0)."""
+    if ambient.min_poly is None:
+        return [0, 1]
+    return [c.numerator * pow(c.denominator, -1, p) % p for c in ambient.min_poly]
+
+
+def evaluate(coeffs, x, p):
+    return sum(c * pow(x, i, p) for i, c in enumerate(coeffs)) % p
+
+
+def image(value, p, root):
+    """value in F_p: its reduction mod p evaluated at the root."""
+    return evaluate(field.reduce_mod_prime(value, p).coeffs, root, p)
+
+
+def max_index(d, cap):
+    return int(log(cap) / log(d) + 1e-9)
+
+
+@st.composite
+def values(draw, kind):
+    specials, _, _ = FIELDS[kind]
+    K = specials[0].ambient
+    if draw(st.integers(0, 2)):
+        return draw(st.sampled_from(specials))
+    if K.degree == 1:
+        num = draw(st.integers(1, 12)) * draw(st.sampled_from([1, -1]))
+        return K.from_rational(Fraction(num, draw(st.sampled_from([1, 1, 2, 3]))))
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=K.degree, max_size=K.degree))
+    return field.FieldValue(K, coeffs) if any(coeffs) else K.one()
+
+
+@st.composite
+def orbit_cases(draw, rank_cases=False):
+    """(point, d, iterate indices, primes).  With rank_cases the indices
+    are an increasing (r+1)-tuple and r is returned as well."""
+    kind = draw(st.sampled_from(sorted(FIELDS)))
+    specials, pool, cap = FIELDS[kind]
+    K = specials[0].ambient
+    n = draw(st.integers(2, 3))
+    P = ProjPoint(K, [K.one()] + [draw(values(kind)) for _ in range(n)])
+    d = draw(st.sampled_from(DEGREES))
+    top = max_index(d, cap)
+    primes = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
+    if not rank_cases:
+        ms = draw(st.lists(st.integers(0, top), min_size=1, max_size=4, unique=True))
+        return P, d, ms, primes
+    r = draw(st.integers(1, min(n, top)))
+    m = sorted(draw(st.lists(st.integers(0, top), min_size=r + 1, max_size=r + 1,
+                             unique=True)))
+    return P, d, tuple(m), r, primes
+
+
+def test_roots_match_brute_force():
+    for ambient in (Q, C5, K6):
+        for p in (q for q in range(2, 300) if field.is_prime(q)):
+            try:
+                root = field.root_mod_prime(ambient, p)
+            except BadPrime:
+                assert any(c.denominator % p == 0 for c in ambient.min_poly)
+                continue
+            f = poly_mod(ambient, p)
+            roots = [x for x in range(p) if evaluate(f, x, p) == 0]
+            assert root == (roots[0] if roots else None), (ambient.kind, p)
+
+
+@PROPERTY
+@given(st.lists(st.integers(-5, 5), min_size=1, max_size=5).map(lambda c: c + [1]),
+       st.sampled_from([2, 3, 5, 7, 11, 13, 31, 97, 101]))
+@example([0, -1, 0, 1], 3)       # x^3 - x splits completely into distinct roots
+@example([4, -4, 1], 7)          # (x - 2)^2, a repeated root
+@example([1, 2, 1], 2)           # (x + 1)^2 over F_2
+def test_roots_of_random_polynomials(coeffs, p):
+    K = field.number_field(coeffs)
+    f = poly_mod(K, p)
+    roots = [x for x in range(p) if evaluate(f, x, p) == 0]
+    assert field.root_mod_prime(K, p) == (roots[0] if roots else None)
+
+
+def test_root_mod_prime_rejects():
+    with pytest.raises(BadPrime):
+        field.root_mod_prime(Q, 10001)
+    with pytest.raises(BadPrime):
+        field.root_mod_prime(K6, 2)  # 5/2 in the sextic's minimal polynomial
+    assert field.root_mod_prime(Q, 10007) == 0
+
+
+@PROPERTY
+@given(orbit_cases())
+@example((ProjPoint.rational([1, 97, 2]), 6, [0, 5], [97, 10007]))   # 97 | x1; 96 | 6^5
+@example((ProjPoint.rational([1, 2, 3]), 6, [1, 5, 0], [97]))        # 96 | 6^5
+@example((ProjPoint(C5, [1, ZETA - 3, 2]), 10, [1, 2], [11, 31]))     # zeta - 3 = 0 at 3 mod 11; 10 | 10^m
+@example((ProjPoint(C5, [1, ZETA, 2]), 10, [0, 1, 2], [11]))          # 10 | 10^m
+@example((sextic_point(), 2, [0, 8], [2, 3, 257]))                     # 256 | 2^8
+@example((sextic_point(), 10, [1, 2], [101]))                          # 100 | 10^2
+def test_cached_rows_are_reduced_exact_iterates(case):
+    P, d, ms, primes = case
+    try:
+        orbit = ModularOrbit(P, d, primes)
+    except AllPrimesBad:
+        orbit = None
+    for p in primes:
+        if orbit is None or p in orbit.bad_primes:
+            event("unusable prime")
+            continue
+        event("usable prime")
+        root = orbit.roots[p]
+        assert evaluate(poly_mod(P.ambient, p), root, p) == 0
+        for m in ms:
+            exact = [c ** d ** m for c in P.coords]
+            assert orbit.row(p, m) == tuple(image(v, p, root) for v in exact)
+            assert orbit.row(p, m) is orbit.row(p, m)  # computed once
+    # a prime is usable exactly when f has a root mod p and every
+    # coordinate reduces mod p; a coordinate may map to 0
+    for p in primes:
+        try:
+            usable = field.root_mod_prime(P.ambient, p) is not None
+            for c in P.coords:
+                field.reduce_mod_prime(c, p)
+        except BadPrime:
+            usable = False
+        assert usable == (orbit is not None and p in orbit.roots)
+
+
+@PROPERTY
+@given(orbit_cases(rank_cases=True))
+@example((ProjPoint.rational([1, 2, -3]), 2, (0, 1, 2), 2, [3, 10007]))
+@example((ProjPoint.rational([1, 97, 2]), 6, (0, 1, 5), 2, [97, 13]))
+@example((ProjPoint(C5, [1, ZETA, ZETA ** 2]), 2, (0, 1, 4), 2, [11, 31]))
+@example((ProjPoint(C5, [1, ZETA, 2, 3]), 2, (0, 4, 8, 12), 3, [11, 10061]))
+@example((sextic_point(), 2, (0, 1, 2), 2, [31, 83, 101, 257]))
+@example((sextic_point(), 2, (0, 3, 4), 2, [31, 83, 101, 257]))
+def test_filter_never_certifies_rank_deficient(case):
+    P, d, m, r, primes = case
+    try:
+        orbit = ModularOrbit(P, d, primes)
+    except AllPrimesBad:
+        return
+    verdict = linalg.modular_rank_filter(orbit, m, r)
+    exact = linalg.rank(iterate_matrix(P, d, m))
+    event(f"exact rank {'full' if exact == r + 1 else 'deficient'}, "
+          f"{'certified' if verdict.certified else 'candidate'}")
+    if verdict.certified:
+        assert exact == r + 1
+        assert verdict.diagnostics["ranks"][verdict.prime] == r + 1
+    assert all(rank <= exact for rank in verdict.diagnostics["ranks"].values())
+
+
+def test_bad_prime_reasons():
+    P = ProjPoint(C5, [1, ZETA - 3, 2])
+    orbit = ModularOrbit(P, 2, [7, 5, 11, 31])
+    assert orbit.primes == [7, 5, 11, 31]
+    assert orbit.roots == {11: 3, 31: 2}
+    reasons = orbit.bad_primes
+    assert list(reasons) == [7, 5]
+    assert "no root" in reasons[7]
+    assert "squarefree" in reasons[5]
+    # zeta - 3 maps to 0 at the root 3 mod 11: the prime stays usable and
+    # its rows have a zero column, so it cannot certify
+    assert orbit.row(11, 2) == (1, 0, 5)
+    verdict = linalg.modular_rank_filter(orbit, (0, 1, 2), 2)
+    assert verdict.diagnostics["bad_primes"] == [(7, reasons[7]), (5, reasons[5])]
+    assert verdict.diagnostics["ranks"] == {11: 2, 31: 3}
+    assert verdict.prime == 31
+    with pytest.raises(AllPrimesBad):
+        ModularOrbit(P, 2, [7, 5])
+
+
+def test_drawn_primes_skip_unusable():
+    P = ProjPoint.rational([1, Fraction(1, 97), 2])
+    orbit = ModularOrbit(P, 6, iter([97, 3, 101, 103]), count=2)
+    assert orbit.primes == [3, 101]
+    assert orbit.bad_primes == {}
+
+
+def test_drawn_primes_are_capped():
+    # f = x^2 is not squarefree mod any p, so no prime of an endless
+    # stream is usable: the draws stop after DRAWS_PER_PRIME * count * deg f
+    K = field.number_field([0, 0, 1])
+    drawn = []
+
+    def stream():
+        p = 2
+        while True:
+            p += 1
+            if field.is_prime(p):
+                drawn.append(p)
+                yield p
+
+    with pytest.raises(AllPrimesBad, match="squarefree"):
+        ModularOrbit(ProjPoint(K, [K.one(), K.gen() + 2]), 2, stream(), count=3)
+    assert len(drawn) == ModularOrbit.DRAWS_PER_PRIME * 3 * 2
+    # draws that run out with fewer than count usable primes keep those
+    P = ProjPoint.rational([1, Fraction(1, 97), 2])
+    orbit = ModularOrbit(P, 2, chain([101], repeat(97)), count=3)
+    assert orbit.primes == [101]
