@@ -5,7 +5,10 @@ iterate indices up to a bound M, discards tuples whose iterate matrix is
 certified full-rank by the modular filter, confirms the survivors with
 exact super-rank checks, groups the confirmed tuples by the canonical
 form of their span, and counts how many orbit points up to M each
-resulting subspace contains.
+resulting subspace contains.  The count reuses the filter's residue
+rows: an iterate is certified off a subspace L when its row raises the
+rank of L's basis reduced mod some filter prime, and only the remaining
+candidates are materialized and tested exactly.
 
 Finiteness of the set of such subspaces comes with no effective bound
 on the largest iterate index involved, so results are always reported
@@ -23,10 +26,11 @@ from math import comb
 from typing import Iterator, List, Optional, Sequence
 
 from . import subsum
-from .errors import ExponentBudgetExceeded, Unsupported, ZeroCoordinate
+from .errors import BadPrime, ExponentBudgetExceeded, Unsupported, ZeroCoordinate
 from .field import is_prime
-from .linalg import Subspace, modular_rank_filter, span_canonical, super_rank
-from .orbit import ModularOrbit, ProjPoint, iterate, iterate_matrix, subspace_membership
+from .linalg import Subspace, _rank_mod_p, modular_rank_filter, span_canonical, super_rank
+from .orbit import (ModularOrbit, ProjPoint, checked_power, iterate, iterate_matrix,
+                    subspace_membership)
 
 DEFAULT_FILTER_PRIME_COUNT = 3
 DEFAULT_SEED = 0
@@ -75,10 +79,27 @@ class ExceptionalReport:
 
 
 def intersection_count(P: ProjPoint, d: int, L: Subspace, max_iter: int,
-                       budget: Optional[int] = None) -> int:
-    """Number of iterate indices 0 <= m <= max_iter with the iterate on L."""
+                       budget: Optional[int] = None,
+                       orbit: Optional[ModularOrbit] = None) -> int:
+    """Number of iterate indices 0 <= m <= max_iter with the iterate on L.
+
+    With the run's orbit, iterate m is off L when its residue row raises
+    the rank of L's basis mod a usable prime, because the rank mod p never
+    exceeds the exact rank; a prime dividing a denominator of L is skipped
+    for this L.  Only the other iterates are materialized.
+    """
+    reduced = {}  # usable prime -> L's basis mod p
+    for p in (orbit.roots if orbit is not None else ()):
+        try:
+            reduced[p] = [[orbit.image(p, v) for v in row] for row in L.basis]
+        except BadPrime:
+            pass
     count = 0
     for m in range(max_iter + 1):
+        checked_power(d, m, budget)
+        if any(_rank_mod_p(rows + [orbit.row(p, m)], p) == L.rank + 1
+               for p, rows in reduced.items()):
+            continue
         if subspace_membership(iterate(P, d, m, budget), L):
             count += 1
     return count
@@ -105,6 +126,7 @@ def enumerate_exceptional(P: ProjPoint, d: int, r: int, max_iter: int,
         raise ZeroCoordinate("detection needs all coordinates nonzero")
     if max_iter < r:
         raise ValueError(f"iterate bound {max_iter} cannot host an (r+1)-tuple")
+    orbit = None
     if use_filter:
         orbit = (ModularOrbit(P, d, primes) if primes is not None
                  else ModularOrbit(P, d, _prime_stream(seed), prime_count))
@@ -143,7 +165,7 @@ def enumerate_exceptional(P: ProjPoint, d: int, r: int, max_iter: int,
     for key in order:
         L, preimage = groups[key]
         try:
-            hits = intersection_count(P, d, L, max_iter, budget)
+            hits = intersection_count(P, d, L, max_iter, budget, orbit)
         except ExponentBudgetExceeded as exc:
             hits = -1
             skipped.append({"subspace": [list(map(str, row)) for row in key],

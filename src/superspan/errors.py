@@ -2,7 +2,12 @@
 
 
 class SuperspanError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for the input and arithmetic errors raised by this package."""
+
+
+class SoundnessError(RuntimeError):
+    """An internal result failed its own soundness check: a bug, never
+    bad input, so it is deliberately not a SuperspanError."""
 
 
 # --- field construction and arithmetic ---

@@ -91,9 +91,6 @@ class MPoly:
     def total_degrees(self) -> set:
         return {sum(e) for e in self.terms}
 
-    def is_homogeneous(self) -> bool:
-        return len(self.total_degrees()) <= 1
-
     def leading_term(self) -> Tuple[Expo, Fraction]:
         e = max(self.terms)  # lex order on exponent vectors
         return e, self.terms[e]

@@ -137,10 +137,6 @@ class IterMatrix:
     def shape(self):
         return (len(self.tuple), len(self.point.coords))
 
-    def entry(self, i: int, j: int) -> FieldValue:
-        e = checked_power(self.degree, self.tuple[i], self._budget)
-        return self.point.coords[j] ** e
-
     def rows(self):
         if self._rows is None:
             rows = []
@@ -223,17 +219,21 @@ class ModularOrbit:
             root = root_mod_prime(self.point.ambient, p)
             if root is None:
                 return f"minimal polynomial has no root mod {p}"
-            values = []
-            for c in self.point.coords:
-                v = 0
-                for a in reversed(reduce_mod_prime(c, p).coeffs):
-                    v = (v * root + a) % p
-                values.append(v)
+            self.roots[p] = root
+            self._values[p] = [self.image(p, c) for c in self.point.coords]
         except BadPrime as exc:
+            self.roots.pop(p, None)
             return str(exc)
-        self.roots[p] = root
-        self._values[p] = values
         return None
+
+    def image(self, p: int, value: FieldValue) -> int:
+        """The image in F_p of a field value: its reduction mod the usable
+        prime p evaluated at the root.  Raises BadPrime when p divides a
+        denominator of the value."""
+        v = 0
+        for a in reversed(reduce_mod_prime(value, p).coeffs):
+            v = (v * self.roots[p] + a) % p
+        return v
 
     def row(self, p: int, m: int) -> tuple:
         """Residues of the m-th iterate modulo the usable prime p."""

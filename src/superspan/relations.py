@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .errors import DimensionMismatch, Unsupported, ZeroCoordinate
+from .errors import DimensionMismatch, SoundnessError, Unsupported, ZeroCoordinate
 from .field import CYCLOTOMIC, RATIONAL, FieldValue
 
 
@@ -204,7 +204,6 @@ def relation_lattice(P) -> RelLattice:
     # widen rows with auxiliary columns carrying the moduli
     n_aux = len(aux)
     wide = []
-    aux_seen = 0
     for row in rows:
         extra = [0] * n_aux
         wide.append(row + extra)
@@ -220,13 +219,12 @@ def relation_lattice(P) -> RelLattice:
 
     # soundness: every basis vector is a genuine relation
     for e in lattice.basis:
-        assert sum(e) == 0
         prod = Fraction(1)
         for q, exp in zip(rationals, e):
             prod *= Fraction(q) ** exp
-        assert prod == 1, f"unsound relation basis vector {e}"
-        if torsion is not None:
-            assert sum(a * x for a, x in zip(torsion, e)) % ell == 0
+        if sum(e) or prod != 1 or (
+                torsion is not None and sum(a * x for a, x in zip(torsion, e)) % ell):
+            raise SoundnessError(f"unsound relation basis vector {e}")
     return lattice
 
 

@@ -80,9 +80,6 @@ class TermVector:
     r: int
     entries: tuple  # tuple of (perm, sign, FieldValue) in lex perm order
 
-    def signs(self) -> Dict[Perm, int]:
-        return {perm: sign for perm, sign, _ in self.entries}
-
     def values(self) -> Dict[Perm, object]:
         return {perm: value for perm, _, value in self.entries}
 
@@ -155,14 +152,6 @@ class TermPartition:
         if sorted(seen) != expected or len(seen) != len(set(seen)):
             raise ShapeMismatch("blocks must partition the full symmetric group")
         return cls(r, canon)
-
-    def refines(self, other: "TermPartition") -> bool:
-        """True iff every block here lies inside a block of other."""
-        lookup = {}
-        for idx, block in enumerate(other.blocks):
-            for perm in block:
-                lookup[perm] = idx
-        return all(len({lookup[perm] for perm in block}) == 1 for block in self.blocks)
 
 
 def bullet_partition(r: int, t: int) -> TermPartition:

@@ -194,3 +194,14 @@ def test_detect_golden_report(capsys):
                            "--d", "2", "--r", "2", "--max-iter", "8")
     assert code == 0
     assert out == golden.read_text()
+
+
+def test_detect_golden_sextic_report(capsys):
+    """The sextic's two lines, with algebraic bases and intersection
+    counts, are pinned byte for byte."""
+    golden = Path(__file__).with_name("golden") / "detect_sextic_r2_M6.json"
+    code, out, _ = run_cli(capsys, "detect", "--field", "numberfield:1,3,5/2,0,5/2,3,1",
+                           "--point", '[["0","1"],["-1","-1"],["1"]]',
+                           "--d", "2", "--r", "2", "--max-iter", "6")
+    assert code == 0
+    assert out == golden.read_text()

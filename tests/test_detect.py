@@ -1,16 +1,27 @@
-import pytest
+from fractions import Fraction
+from math import log
 
-from superspan import field
-from superspan.constructions import sextic_point
+import pytest
+from hypothesis import assume, event, example, given, settings, strategies as st
+
+from superspan import detect, field
+from superspan.constructions import cyclotomic_family, sextic_field, sextic_point
 from superspan.detect import (
     DEFAULT_FILTER_PRIME_COUNT,
     enumerate_exceptional,
     filter_primes,
     intersection_count,
 )
-from superspan.errors import AllPrimesBad, NonInvertible, Unsupported, ZeroCoordinate
+from superspan.errors import (
+    AllPrimesBad,
+    BadPrime,
+    ExponentBudgetExceeded,
+    NonInvertible,
+    Unsupported,
+    ZeroCoordinate,
+)
 from superspan.linalg import span_canonical
-from superspan.orbit import ProjPoint, iterate
+from superspan.orbit import ModularOrbit, ProjPoint, iterate
 
 
 def test_filter_primes_deterministic():
@@ -196,3 +207,130 @@ def test_coordinate_vanishing_at_every_root():
     for use_filter in (True, False):
         with pytest.raises(NonInvertible):
             enumerate_exceptional(P, 2, 1, 5, use_filter=use_filter)
+
+
+# ----------------------------------------------------------------------
+# intersection counts certified mod p
+# ----------------------------------------------------------------------
+
+Q = field.rational_field()
+C5 = field.cyclotomic_field(5)
+K6 = sextic_field()
+ZETA = C5.gen()
+ALPHA = K6.gen()
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+# field -> (coordinates to build points from, filter primes to draw from,
+# cap on d^m so the exact iterates stay cheap).  Roots of unity make
+# iterates repeat, so a subspace meets the orbit beyond its spanning
+# iterates; the small primes collide with denominators of random rows.
+COUNT_FIELDS = {
+    "Q": ([Q.from_rational(c) for c in (-1, 2, -2, 3, -3, 6, Fraction(1, 2))],
+          [3, 5, 7, 11, 13, 10007], 4096),
+    "C5": ([ZETA, ZETA ** 2, ZETA ** 3, -C5.one(), ZETA + 1, C5.from_rational(2)],
+           [7, 11, 31, 41, 10061], 512),
+    "sextic": ([ALPHA, -K6.one() - ALPHA, K6.from_rational(2), ALPHA * ALPHA],
+               [2, 3, 31, 83, 101, 257], 256),
+}
+
+
+@st.composite
+def field_rows(draw, K, width, count):
+    """count rows of small field values with denominators among small primes."""
+    rows = []
+    for _ in range(count):
+        row = []
+        for _ in range(width):
+            coeffs = [Fraction(draw(st.integers(-3, 3)), draw(st.sampled_from([1, 3, 7, 11])))
+                      for _ in range(K.degree)]
+            row.append(field.FieldValue(K, coeffs))
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def count_cases(draw):
+    """(point, d, subspace, max_iter, primes); the subspace is spanned by
+    iterates or by random rows."""
+    kind = draw(st.sampled_from(sorted(COUNT_FIELDS)))
+    specials, pool, cap = COUNT_FIELDS[kind]
+    K = specials[0].ambient
+    n = draw(st.integers(2, 3))
+    P = ProjPoint(K, [K.one()] + [draw(st.sampled_from(specials)) for _ in range(n)])
+    d = draw(st.sampled_from((2, 3)))
+    M = int(log(cap) / log(d) + 1e-9)
+    r = draw(st.integers(1, n))
+    if draw(st.booleans()):
+        ms = draw(st.lists(st.integers(0, M), min_size=r, max_size=r, unique=True))
+        rows = [iterate(P, d, m) for m in ms]
+    else:
+        rows = draw(field_rows(K, n + 1, r))
+    primes = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+    if pool[-1] not in primes and draw(st.booleans()):
+        primes.append(pool[-1])  # usable for most points
+    return P, d, span_canonical(rows), M, primes
+
+
+@PROPERTY
+@given(count_cases())
+@example((ProjPoint(C5, [C5.one(), ZETA, ZETA ** 2]), 2,
+          span_canonical([[C5.one(), ZETA, ZETA ** 2], [C5.zero(), C5.from_rational(11), C5.one()]]),
+          9, [11, 31]))
+def test_modular_intersection_count_is_exact(case):
+    P, d, L, M, primes = case
+    try:
+        orbit = ModularOrbit(P, d, primes)
+    except AllPrimesBad:
+        assume(False)
+    exact = intersection_count(P, d, L, M)
+    assert intersection_count(P, d, L, M, orbit=orbit) == exact
+    if exact > L.rank:
+        event("members beyond the spanning rank")
+    if any(c.denominator % p == 0 for p in orbit.roots
+           for row in L.basis for v in row for c in v.coeffs):
+        event("a usable prime divides a denominator of L")
+
+
+@pytest.fixture
+def materialized(monkeypatch):
+    """The iterate indices intersection_count materializes, in order."""
+    seen = []
+
+    def counting_iterate(P, d, m, budget=None):
+        seen.append(m)
+        return iterate(P, d, m, budget)
+
+    monkeypatch.setattr(detect, "iterate", counting_iterate)
+    return seen
+
+
+def test_cyclotomic_hyperplane_count_with_orbit(materialized):
+    # 2^n = 1 mod 5 iff n = 0 mod 4: six members among 0..20, repeated
+    # points outside any preimage tuple; only they are materialized
+    fam = cyclotomic_family(2, 5, (2, 3))
+    orbit = ModularOrbit(fam.point, 2, detect._prime_stream(0), DEFAULT_FILTER_PRIME_COUNT)
+    assert intersection_count(fam.point, 2, fam.hyperplane(1), 20, orbit=orbit) == 6
+    assert materialized == [0, 4, 8, 12, 16, 20]
+
+
+@pytest.mark.parametrize("primes, exact_indices", [
+    ([11], list(range(10))),      # L is not reduced at 11: all exact
+    ([11, 31], [0, 4, 8]),        # 31 certifies the non-members
+])
+def test_denominator_divisible_by_filter_prime(materialized, primes, exact_indices):
+    # the basis carries 1/11; iterates 0, 4 and 8 lie on the line
+    P = ProjPoint(C5, [C5.one(), ZETA, ZETA ** 2])
+    L = span_canonical([P.coords, [C5.zero(), C5.from_rational(11), C5.one()]])
+    orbit = ModularOrbit(P, 2, primes)
+    with pytest.raises(BadPrime):
+        orbit.image(11, L.basis[0][2])
+    assert intersection_count(P, 2, L, 9, orbit=orbit) == 3
+    assert materialized == exact_indices
+
+
+def test_modular_count_keeps_budget_errors():
+    P = ProjPoint.rational([1, 2, -3])
+    L = span_canonical([iterate(P, 2, 0), iterate(P, 2, 1)])
+    orbit = ModularOrbit(P, 2, filter_primes(3))
+    with pytest.raises(ExponentBudgetExceeded):
+        intersection_count(P, 2, L, 14, budget=4096, orbit=orbit)

@@ -1,10 +1,15 @@
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from superspan import field
-from superspan.errors import DimensionMismatch, Unsupported, ZeroCoordinate
+import superspan
+from superspan import field, relations
+from superspan.cli import main as cli_main
+from superspan.errors import DimensionMismatch, SoundnessError, Unsupported, ZeroCoordinate
 from superspan.orbit import ProjPoint, iterate
 from superspan.relations import (
     RelLattice,
@@ -203,3 +208,43 @@ def test_hnf_unimodular_invariance():
                 mixed[i] = [-a for a in mixed[i]]
         rng.shuffle(mixed)
         assert hermite_normal_form(mixed) == reference
+
+
+C5 = field.cyclotomic_field(5)
+
+
+@pytest.mark.parametrize("P, bogus", [
+    (ProjPoint.rational([1, 2, 3]), [1, -1, 0]),          # product 1/2, not 1
+    (ProjPoint.rational([1, 2, 3]), [1, 0, 0]),           # nonzero sum
+    (ProjPoint(C5, [C5.one(), C5.gen()]), [1, -1]),       # zeta^-1 is not 1
+])
+def test_unsound_relation_basis_raises(monkeypatch, P, bogus):
+    monkeypatch.setattr(relations, "integer_kernel", lambda mat: [bogus + [0] * 4])
+    with pytest.raises(SoundnessError):
+        relation_lattice(P)
+
+
+def test_soundness_error_is_not_reported_as_bad_input(monkeypatch):
+    monkeypatch.setattr(relations, "integer_kernel", lambda mat: [[1, -1, 0, 0]])
+    with pytest.raises(SoundnessError):
+        cli_main(["relations", "--point", "[1,2,3]"])
+
+
+def test_soundness_check_survives_optimize_flag():
+    # python -O strips assert statements; the check must still raise
+    code = """if True:
+        import superspan.relations as R
+        from superspan.errors import SoundnessError
+        from superspan.orbit import ProjPoint
+        assert False, "asserts are live"
+        R.integer_kernel = lambda mat: [[1, -1, 0, 0]]
+        try:
+            R.relation_lattice(ProjPoint.rational([1, 2, 3]))
+        except SoundnessError:
+            print("raised")
+    """
+    src = str(Path(superspan.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, env={"PYTHONPATH": src}, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised"
