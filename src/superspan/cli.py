@@ -251,8 +251,7 @@ def main(argv=None) -> int:
     except ExponentBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARTIAL
-    except (SuperspanError, ValueError, KeyError, OSError,
-            json.JSONDecodeError) as exc:
+    except (SuperspanError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

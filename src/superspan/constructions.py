@@ -30,7 +30,7 @@ from .field import FieldDesc, cyclotomic_field, is_prime, monicize, number_field
 from .field import _padd, _pmul  # exact univariate helpers
 from .linalg import Subspace, span_canonical
 from .orbit import ProjPoint, iterate, iterate_matrix, subspace_membership
-from .relations import exponent_matrix, integer_kernel, lattice_contains, relation_lattice
+from .relations import lattice_contains, relation_lattice
 
 # the degree-6 example polynomial, raw integer form 2x^6+6x^5+5x^4+5x^2+6x+2
 SEXTIC_RAW = (2, 6, 5, 0, 5, 6, 2)
@@ -69,20 +69,10 @@ def is_primitive_root(d: int, ell: int) -> bool:
 
 
 def _warn_if_tail_dependent(tail: Sequence[Fraction]) -> None:
-    # exact for rationals: e is a multiplicative relation iff the prime
-    # exponents cancel and the negative entries are used an even number
-    # of times
-    k = len(tail)
-    primes, E, signs = exponent_matrix(list(tail))
-    aux = 1 if any(s < 0 for s in signs) else 0
-    rows = [[E[i][j] for i in range(k)] + [0] * aux for j in range(len(primes))]
-    if aux:
-        rows.append([1 if s < 0 else 0 for s in signs] + [2])
-    if rows:
-        dependent = any(any(v[:k]) for v in integer_kernel(rows))
-    else:
-        dependent = k > 0  # no prime support, no signs: all entries are 1
-    if dependent:
+    # exact for rationals: a multiplicative relation among the tail
+    # entries is a relation of the point [1, tail...], whose coordinate 0
+    # absorbs the sum-zero condition
+    if relation_lattice([1, *tail]).rank:
         warnings.warn("cyclotomic family tail is multiplicatively dependent; "
                       "the Zariski-density hypothesis fails", stacklevel=3)
 

@@ -8,7 +8,9 @@ form of their span, and counts how many orbit points up to M each
 resulting subspace contains.  The count reuses the filter's residue
 rows: an iterate is certified off a subspace L when its row raises the
 rank of L's basis reduced mod some filter prime, and only the remaining
-candidates are materialized and tested exactly.
+candidates are materialized and tested exactly.  Confirmation, grouping
+and the count share one ExactOrbit, which makes each iterate at most
+once; a tuple repeating an orbit point (r >= 2) needs no elimination.
 
 Finiteness of the set of such subspaces comes with no effective bound
 on the largest iterate index involved, so results are always reported
@@ -29,8 +31,7 @@ from . import subsum
 from .errors import BadPrime, ExponentBudgetExceeded, Unsupported, ZeroCoordinate
 from .field import is_prime
 from .linalg import Subspace, _rank_mod_p, modular_rank_filter, span_canonical, super_rank
-from .orbit import (ModularOrbit, ProjPoint, checked_power, iterate, iterate_matrix,
-                    subspace_membership)
+from .orbit import ExactOrbit, ModularOrbit, ProjPoint, checked_power, subspace_membership
 
 DEFAULT_FILTER_PRIME_COUNT = 3
 DEFAULT_SEED = 0
@@ -80,14 +81,18 @@ class ExceptionalReport:
 
 def intersection_count(P: ProjPoint, d: int, L: Subspace, max_iter: int,
                        budget: Optional[int] = None,
-                       orbit: Optional[ModularOrbit] = None) -> int:
+                       orbit: Optional[ModularOrbit] = None,
+                       exact: Optional[ExactOrbit] = None) -> int:
     """Number of iterate indices 0 <= m <= max_iter with the iterate on L.
 
     With the run's orbit, iterate m is off L when its residue row raises
     the rank of L's basis mod a usable prime, because the rank mod p never
     exceeds the exact rank; a prime dividing a denominator of L is skipped
-    for this L.  Only the other iterates are materialized.
+    for this L.  Only the other iterates are materialized, from the run's
+    exact orbit or else from a fresh one.
     """
+    if exact is None:
+        exact = ExactOrbit(P, d, budget)
     reduced = {}  # usable prime -> L's basis mod p
     for p in (orbit.roots if orbit is not None else ()):
         try:
@@ -100,7 +105,7 @@ def intersection_count(P: ProjPoint, d: int, L: Subspace, max_iter: int,
         if any(_rank_mod_p(rows + [orbit.row(p, m)], p) == L.rank + 1
                for p, rows in reduced.items()):
             continue
-        if subspace_membership(iterate(P, d, m, budget), L):
+        if subspace_membership(exact[m], L):
             count += 1
     return count
 
@@ -130,9 +135,9 @@ def enumerate_exceptional(P: ProjPoint, d: int, r: int, max_iter: int,
     if use_filter:
         orbit = (ModularOrbit(P, d, primes) if primes is not None
                  else ModularOrbit(P, d, _prime_stream(seed), prime_count))
+    exact = ExactOrbit(P, d, budget)
 
     confirmed: List[tuple] = []
-    matrices = {}
     skipped = []
     filtered_out = 0
     exact_checked = 0
@@ -144,17 +149,15 @@ def enumerate_exceptional(P: ProjPoint, d: int, r: int, max_iter: int,
                 continue
         exact_checked += 1
         try:
-            A = iterate_matrix(P, d, m, budget)
-            if super_rank(A.rows()):
+            if super_rank(exact.rows(m)):
                 confirmed.append(m)
-                matrices[m] = A
         except ExponentBudgetExceeded as exc:
             skipped.append({"tuple": list(m), "reason": str(exc)})
 
     groups = {}
     order = []
     for m in confirmed:
-        L = span_canonical(matrices[m].rows())
+        L = span_canonical(exact.rows(m))
         key = L.key()
         if key not in groups:
             groups[key] = (L, [])
@@ -165,10 +168,12 @@ def enumerate_exceptional(P: ProjPoint, d: int, r: int, max_iter: int,
     for key in order:
         L, preimage = groups[key]
         try:
-            hits = intersection_count(P, d, L, max_iter, budget, orbit)
+            hits = intersection_count(P, d, L, max_iter, budget, orbit, exact)
         except ExponentBudgetExceeded as exc:
             hits = -1
-            skipped.append({"subspace": [list(map(str, row)) for row in key],
+            # each basis entry as the report writes field values
+            skipped.append({"subspace": [[list(map(str, coeffs)) for coeffs in row]
+                                         for row in key],
                             "reason": str(exc)})
         records.append(SubspaceRecord(L, tuple(preimage), hits))
     records.sort(key=lambda rec: rec.preimage[0])

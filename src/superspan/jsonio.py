@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .detect import ExceptionalReport
+from .errors import SuperspanError
 from .field import CYCLOTOMIC, NUMBER_FIELD, RATIONAL, FieldDesc, FieldValue, make_field
 from .linalg import Subspace
 from .mpoly import MPoly
@@ -44,14 +45,21 @@ def encode_field(desc: FieldDesc) -> dict:
             "min_poly": [encode_rational(c) for c in desc.min_poly]}
 
 
+def _get(obj, key: str):
+    """obj[key] of a JSON object, or a SuperspanError naming the key."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise SuperspanError(f"expected a JSON object with the key {key!r}")
+    return obj[key]
+
+
 def decode_field(obj: dict) -> FieldDesc:
-    kind = obj["kind"]
+    kind = _get(obj, "kind")
     if kind == "rational":
         return make_field(RATIONAL)
     if kind == "cyclotomic":
-        return make_field(CYCLOTOMIC, ell=int(obj["ell"]))
+        return make_field(CYCLOTOMIC, ell=int(_get(obj, "ell")))
     return make_field(NUMBER_FIELD,
-                      min_poly=[decode_rational(c) for c in obj["min_poly"]])
+                      min_poly=[decode_rational(c) for c in _get(obj, "min_poly")])
 
 
 def parse_field_spec(spec: str) -> FieldDesc:
@@ -75,8 +83,8 @@ def decode_point(obj, ambient: Optional[FieldDesc] = None) -> ProjPoint:
     """Accepts the full point document or a bare coordinate array whose
     entries are rational strings/ints or coefficient arrays."""
     if isinstance(obj, dict):
-        ambient = decode_field(obj["field"])
-        coords = obj["coords"]
+        ambient = decode_field(_get(obj, "field"))
+        coords = _get(obj, "coords")
     else:
         coords = obj
     if ambient is None:

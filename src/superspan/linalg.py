@@ -2,9 +2,10 @@
 
 Rank over the rationals runs fraction-free (Bareiss) on integer-scaled
 rows; over number fields it falls back to ordinary elimination with
-exact division.  Subspaces are kept in reduced row echelon form, which
-is the canonical representation used to deduplicate the map from
-iterate tuples to their spans.
+exact division, which also yields the RREF.  Subspaces are kept in RREF,
+the canonical representation used to deduplicate the map from iterate
+tuples to their spans.  super_rank needs at most one elimination: it
+reads the left kernel of the matrix off [A | I].
 
 The modular rank filter certifies full rank of an iterate matrix from a
 single prime.  Evaluating a value at a root of f mod p is a ring
@@ -46,26 +47,31 @@ def _ambient_of(rows: Sequence[Sequence[FieldValue]]) -> FieldDesc:
 # rank and determinant
 # ----------------------------------------------------------------------
 
-def _integer_rows(rows) -> List[List[int]]:
+def _integer_rows(rows):
+    """Rational rows scaled to integer rows, and the product of the scales."""
     out = []
+    scale = 1
     for row in rows:
         fracs = [v.coeffs[0] for v in row]
-        scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
-        out.append([int(f * scale) for f in fracs])
-    return out
+        s = lcm(*(f.denominator for f in fracs))
+        scale *= s
+        out.append([int(f * s) for f in fracs])
+    return out, scale
 
 
-def _bareiss(mat: List[List[int]]):
+def _bareiss(mat: List[List[int]], pivot_cols: Optional[int] = None):
     """Fraction-free elimination; returns (rank, det_of_leading_pivots,
     swap_sign).  The last pivot equals the determinant of the pivot
-    submatrix, so for square full-rank input it is the determinant."""
+    submatrix, so for square full-rank input it is the determinant.
+    Pivots are sought in the first pivot_cols columns only; the division
+    stays exact on the columns after them, as every entry is a minor."""
     nrows = len(mat)
     ncols = len(mat[0]) if nrows else 0
     prev = 1
     pivot_row = 0
     sign = 1
     last_pivot = 1
-    for col in range(ncols):
+    for col in range(ncols if pivot_cols is None else pivot_cols):
         if pivot_row >= nrows:
             break
         pr = None
@@ -89,16 +95,19 @@ def _bareiss(mat: List[List[int]]):
     return pivot_row, last_pivot, sign
 
 
-def _field_eliminate(rows: List[List[FieldValue]]):
+def _field_eliminate(rows: List[List[FieldValue]], pivot_cols: Optional[int] = None,
+                     reduced: bool = False):
     """Ordinary elimination with exact division; returns (rank, pivot
-    product, swap sign)."""
+    product, swap sign).  Pivots are sought in the first pivot_cols
+    columns only, and inverted, so a zero divisor raises NonInvertible.
+    With reduced, pivot columns are cleared above the pivots too (RREF)."""
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     ambient = _ambient_of(rows)
     pivot_row = 0
     sign = 1
     det = ambient.one()
-    for col in range(ncols):
+    for col in range(ncols if pivot_cols is None else pivot_cols):
         if pivot_row >= nrows:
             break
         pr = None
@@ -115,9 +124,9 @@ def _field_eliminate(rows: List[List[FieldValue]]):
         det = det * piv
         inv = piv.inverse()
         rows[pivot_row] = [v * inv for v in rows[pivot_row]]
-        for r in range(pivot_row + 1, nrows):
+        for r in range(0 if reduced else pivot_row + 1, nrows):
             f = rows[r][col]
-            if not f.is_zero():
+            if r != pivot_row and not f.is_zero():
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[pivot_row])]
         pivot_row += 1
     return pivot_row, det, sign
@@ -129,7 +138,7 @@ def rank(rows) -> int:
     if not rows or not rows[0]:
         return 0
     if _ambient_of(rows).kind == RATIONAL:
-        r, _, _ = _bareiss(_integer_rows(rows))
+        r, _, _ = _bareiss(_integer_rows(rows)[0])
         return r
     r, _, _ = _field_eliminate(rows)
     return r
@@ -143,18 +152,11 @@ def det(rows) -> FieldValue:
         raise ShapeMismatch("determinant needs a square matrix")
     ambient = _ambient_of(rows)
     if ambient.kind == RATIONAL:
-        mat = rows  # keep exact rational scaling
-        scale = Fraction(1)
-        int_rows = []
-        for row in mat:
-            fracs = [v.coeffs[0] for v in row]
-            s = lcm(*(f.denominator for f in fracs))
-            scale *= s
-            int_rows.append([int(f * s) for f in fracs])
+        int_rows, scale = _integer_rows(rows)
         r, last_pivot, sign = _bareiss(int_rows)
         if r < n:
             return ambient.zero()
-        return ambient.from_rational(Fraction(sign * last_pivot) / scale)
+        return ambient.from_rational(Fraction(sign * last_pivot, scale))
     r, pivot_product, sign = _field_eliminate(rows)
     if r < n:
         return ambient.zero()
@@ -164,30 +166,10 @@ def det(rows) -> FieldValue:
 def rref(rows) -> List[List[FieldValue]]:
     """Reduced row echelon form with leading ones; zero rows dropped."""
     rows = _coerce_rows(rows)
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivot_row = 0
-    pivots = []
-    for col in range(ncols):
-        if pivot_row >= nrows:
-            break
-        pr = None
-        for r in range(pivot_row, nrows):
-            if not rows[r][col].is_zero():
-                pr = r
-                break
-        if pr is None:
-            continue
-        rows[pivot_row], rows[pr] = rows[pr], rows[pivot_row]
-        inv = rows[pivot_row][col].inverse()
-        rows[pivot_row] = [v * inv for v in rows[pivot_row]]
-        for r in range(nrows):
-            if r != pivot_row and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[pivot_row])]
-        pivots.append(col)
-        pivot_row += 1
-    return rows[:pivot_row]
+    if not rows or not rows[0]:
+        return []
+    r, _, _ = _field_eliminate(rows, reduced=True)
+    return rows[:r]
 
 
 # ----------------------------------------------------------------------
@@ -225,21 +207,32 @@ def span_canonical(points) -> Subspace:
 
 
 def super_rank(rows, expected_r: Optional[int] = None) -> bool:
-    """True iff the (r+1)-row matrix has rank r and every r-row submatrix
-    also has rank r (the matrix analogue of super-spanning)."""
+    """True iff the (r+1)-row matrix A has rank r and every r-row submatrix
+    also has rank r (the matrix analogue of super-spanning).
+
+    For r >= 2 two equal rows fail at once, as every r rows holding both
+    have rank below r.  Otherwise [A | I] is eliminated with pivots in A:
+    when rank A = r, the I part of its zero row spans the left kernel of
+    A, and the rows other than row t are independent iff its t-th entry
+    is nonzero."""
     rows = _coerce_rows(rows)
     r = len(rows) - 1
     if expected_r is not None and expected_r != r:
         raise ShapeMismatch(f"matrix has {r + 1} rows; expected r = {expected_r}")
-    if r < 0 or len(rows[0]) < len(rows):
+    ncols = len(rows[0]) if rows else 0
+    if r < 0 or ncols < len(rows):
         raise ShapeMismatch("need r+1 rows and at least r+1 columns")
-    if rank(rows) != r:
+    if r >= 2 and len(set(map(tuple, rows))) <= r:
         return False
-    for t in range(r + 1):
-        sub = rows[:t] + rows[t + 1:]
-        if rank(sub) != r:
-            return False
-    return True
+    ambient = _ambient_of(rows)
+    if ambient.kind == RATIONAL:
+        rows, one, zero, eliminate = _integer_rows(rows)[0], 1, 0, _bareiss
+    else:
+        one, zero, eliminate = ambient.one(), ambient.zero(), _field_eliminate
+    mat = [row + [one if t == i else zero for t in range(r + 1)]
+           for i, row in enumerate(rows)]
+    rank_a, _, _ = eliminate(mat, ncols)
+    return rank_a == r and all(mat[r][ncols:])
 
 
 # ----------------------------------------------------------------------

@@ -7,8 +7,10 @@ field has roots of unity the cost is tiny, but over the rationals the
 bit size of entries doubles with every iterate, so exact materialization
 is guarded by a configurable budget on the exponent d^m.  IterMatrix is
 therefore a lazy handle: rank queries should prefer the modular filter
-and only materialize entries when a tuple survives it.  ModularOrbit
-holds the orbit modulo the filter primes of one run, as rows of ints.
+and only materialize entries when a tuple survives it.  A detection run
+holds two caches of its orbit: ModularOrbit keeps it modulo the filter
+primes, as rows of ints, and ExactOrbit keeps the exact iterates it has
+materialized, each at most once.
 """
 
 from __future__ import annotations
@@ -110,15 +112,34 @@ def iterate(P: ProjPoint, d: int, m: int,
     return ProjPoint(P.ambient, [c ** e for c in P.coords])
 
 
+class ExactOrbit(dict):
+    """orbit[m] is the m-th iterate, materialized at most once by iterate
+    and so under the exponent budget: an index past it raises
+    ExponentBudgetExceeded and stays out of the cache."""
+
+    def __init__(self, point: ProjPoint, d: int, budget: Optional[int] = None):
+        super().__init__()
+        self.point, self.degree, self.budget = point, d, budget
+
+    def __missing__(self, m: int) -> ProjPoint:
+        self[m] = Q = iterate(self.point, self.degree, m, self.budget)
+        return Q
+
+    def rows(self, m: Sequence[int]) -> list:
+        """The coordinate rows of the iterates m_0, m_1, ..., in order."""
+        return [self[mi].coords for mi in m]
+
+
 class IterMatrix:
     """Lazy handle for the (r+1)x(n+1) matrix of iterates A_m.
 
     Row i, read as a projective point, is the m_i-th iterate of the base
     point; entry (i, j) is coordinate j raised to the d^{m_i}-th power.
-    Materialization respects the exponent budget.
+    Rows are materialized on demand through an ExactOrbit, under the
+    exponent budget.
     """
 
-    __slots__ = ("point", "degree", "tuple", "_budget", "_rows")
+    __slots__ = ("point", "degree", "tuple", "_orbit")
 
     def __init__(self, point: ProjPoint, degree: int, m: Sequence[int],
                  budget: Optional[int] = None):
@@ -127,8 +148,7 @@ class IterMatrix:
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "tuple", validate_exp_tuple(m))
-        object.__setattr__(self, "_budget", budget)
-        object.__setattr__(self, "_rows", None)
+        object.__setattr__(self, "_orbit", ExactOrbit(point, degree, budget))
 
     def __setattr__(self, name, value):
         raise AttributeError("IterMatrix is immutable")
@@ -138,16 +158,10 @@ class IterMatrix:
         return (len(self.tuple), len(self.point.coords))
 
     def rows(self):
-        if self._rows is None:
-            rows = []
-            for mi in self.tuple:
-                e = checked_power(self.degree, mi, self._budget)
-                rows.append([c ** e for c in self.point.coords])
-            object.__setattr__(self, "_rows", rows)
-        return [list(row) for row in self._rows]
+        return [list(row) for row in self._orbit.rows(self.tuple)]
 
     def row_point(self, i: int) -> ProjPoint:
-        return iterate(self.point, self.degree, self.tuple[i], self._budget)
+        return self._orbit[self.tuple[i]]
 
 
 def iterate_matrix(P: ProjPoint, d: int, m: Sequence[int],

@@ -188,32 +188,22 @@ def relation_lattice(P) -> RelLattice:
     primes, E, signs = exponent_matrix(rationals)
 
     # constraint rows over (e_0..e_n, aux...): prime exponents, the sum,
-    # sign parity (aux 2), and for cyclotomic points the torsion
-    # congruence (aux ell)
-    aux = []
-    rows = []
-    for j in range(len(primes)):
-        rows.append([E[i][j] for i in range(n_plus_1)])
+    # and congruences, each with an auxiliary column carrying its
+    # modulus: sign parity (2), and for cyclotomic points the torsion
+    # congruence (ell)
+    rows = [[E[i][j] for i in range(n_plus_1)] for j in range(len(primes))]
     rows.append([1] * n_plus_1)
+    congruences = []
     if any(s < 0 for s in signs):
-        aux.append(2)
-        rows.append([1 if s < 0 else 0 for s in signs])
+        congruences.append(([1 if s < 0 else 0 for s in signs], 2))
     if torsion is not None and any(torsion):
-        aux.append(ell)
-        rows.append(list(torsion))
-    # widen rows with auxiliary columns carrying the moduli
-    n_aux = len(aux)
-    wide = []
-    for row in rows:
-        extra = [0] * n_aux
-        wide.append(row + extra)
-    aux_row_start = len(primes) + 1
-    k = 0
-    for idx in range(aux_row_start, len(wide)):
-        wide[idx][n_plus_1 + k] = aux[k]
-        k += 1
+        congruences.append((list(torsion), ell))
+    n_aux = len(congruences)
+    rows = [row + [0] * n_aux for row in rows]
+    rows += [row + [modulus if j == k else 0 for j in range(n_aux)]
+             for k, (row, modulus) in enumerate(congruences)]
 
-    kernel = integer_kernel(wide)
+    kernel = integer_kernel(rows)
     projected = hermite_normal_form([row[:n_plus_1] for row in kernel])
     lattice = RelLattice(n_plus_1, tuple(tuple(r) for r in projected))
 

@@ -1,6 +1,9 @@
 import json
 from pathlib import Path
 
+import pytest
+
+from superspan import detect
 from superspan.cli import main
 
 
@@ -205,3 +208,41 @@ def test_detect_golden_sextic_report(capsys):
                            "--d", "2", "--r", "2", "--max-iter", "6")
     assert code == 0
     assert out == golden.read_text()
+
+
+def test_detect_golden_budget_report(capsys):
+    """A budget-limited run exits 3 and lists its skips; a skipped
+    subspace carries its basis encoded like the report's bases."""
+    golden = Path(__file__).with_name("golden") / "detect_1_2_-3_r2_M14_budget4096.json"
+    code, out, _ = run_cli(capsys, "detect", "--point", "[1,2,-3]", "--d", "2", "--r", "2",
+                           "--max-iter", "14", "--budget", "4096")
+    assert code == 3
+    assert out == golden.read_text()
+    doc = json.loads(out)
+    skipped = [entry for entry in doc["diagnostics"]["skipped"] if "subspace" in entry]
+    assert [entry["subspace"] for entry in skipped] == \
+        [rec["basis"] for rec in doc["subspaces"] if rec["intersection_count"] == -1]
+
+
+@pytest.mark.parametrize("point, key", [
+    ('{"a": 1}', "field"),
+    ('{"field": {"kind": "rational"}}', "coords"),
+    ('{"field": {}, "coords": [1, 2, 3]}', "kind"),
+    ('{"field": {"kind": "cyclotomic"}, "coords": [1, 2, 3]}', "ell"),
+    ('{"field": "rational", "coords": [1, 2, 3]}', "kind"),
+])
+def test_point_document_missing_key(capsys, point, key):
+    code, _, err = run_cli(capsys, "detect", "--point", point,
+                           "--d", "2", "--r", "2", "--max-iter", "3")
+    assert code == 2
+    assert err == f"error: expected a JSON object with the key {key!r}\n"
+
+
+def test_internal_key_error_propagates(capsys, monkeypatch):
+    # a KeyError from inside the package is a bug, not invalid input
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(detect, "enumerate_exceptional", broken)
+    with pytest.raises(KeyError, match="internal"):
+        main(["detect", "--point", "[1,2,3]", "--d", "2", "--r", "2", "--max-iter", "3"])

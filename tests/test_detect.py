@@ -1,10 +1,11 @@
 from fractions import Fraction
+from itertools import combinations
 from math import log
 
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 
-from superspan import detect, field
+from superspan import detect, field, linalg
 from superspan.constructions import cyclotomic_family, sextic_field, sextic_point
 from superspan.detect import (
     DEFAULT_FILTER_PRIME_COUNT,
@@ -21,7 +22,7 @@ from superspan.errors import (
     ZeroCoordinate,
 )
 from superspan.linalg import span_canonical
-from superspan.orbit import ModularOrbit, ProjPoint, iterate
+from superspan.orbit import ModularOrbit, ProjPoint, iterate, iterate_matrix
 
 
 def test_filter_primes_deterministic():
@@ -300,7 +301,7 @@ def materialized(monkeypatch):
         seen.append(m)
         return iterate(P, d, m, budget)
 
-    monkeypatch.setattr(detect, "iterate", counting_iterate)
+    monkeypatch.setattr("superspan.orbit.iterate", counting_iterate)
     return seen
 
 
@@ -334,3 +335,41 @@ def test_modular_count_keeps_budget_errors():
     orbit = ModularOrbit(P, 2, filter_primes(3))
     with pytest.raises(ExponentBudgetExceeded):
         intersection_count(P, 2, L, 14, budget=4096, orbit=orbit)
+
+
+# ----------------------------------------------------------------------
+# the run's exact orbit
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("use_filter", [True, False])
+@pytest.mark.parametrize("P, r, M, lines", [
+    (ProjPoint.rational([1, 2, -3]), 2, 8, 1),
+    (ProjPoint(C5, [C5.one(), ZETA, ZETA ** 2]), 2, 9, 0),
+    (sextic_point(), 2, 6, 2),
+], ids=["1,2,-3", "1,z5,z5^2", "sextic"])
+def test_detect_materializes_each_iterate_once(materialized, P, r, M, lines, use_filter):
+    # confirmation, grouping and intersection counts share one cache
+    report = enumerate_exceptional(P, 2, r, M, use_filter=use_filter)
+    assert len(report.subspaces) == lines
+    assert len(materialized) == len(set(materialized))
+    if not use_filter:
+        assert sorted(materialized) == list(range(M + 1))
+
+
+def super_rank_by_definition(rows):
+    r = len(rows) - 1
+    return linalg.rank(rows) == r and all(linalg.rank(list(sub)) == r
+                                          for sub in combinations(rows, r))
+
+
+@pytest.mark.parametrize("exponents, r, M", [((0, 1, 2), 1, 6), ((0, 1, 2), 2, 7),
+                                             ((0, 1, 2, 3), 3, 6)])
+def test_periodic_orbit_matches_definition(exponents, r, M):
+    # iterates m and m + 4 coincide: every tuple holding both repeats a
+    # point, which super-spans for r = 1 and never for r >= 2
+    P = ProjPoint(C5, [ZETA ** k for k in exponents])
+    fast = enumerate_exceptional(P, 2, r, M)
+    slow = enumerate_exceptional(P, 2, r, M, use_filter=False)
+    assert fast.semantic_content() == slow.semantic_content()
+    assert fast.tuples == tuple(m for m in combinations(range(M + 1), r + 1)
+                                if super_rank_by_definition(iterate_matrix(P, 2, m).rows()))

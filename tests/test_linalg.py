@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import event, example, given, settings, strategies as st
 
 from superspan import field, linalg
+from superspan.constructions import sextic_field
 from superspan.errors import AllPrimesBad, ShapeMismatch
 from superspan.orbit import ModularOrbit, ProjPoint, iterate_matrix
 
@@ -197,3 +200,86 @@ def test_det_against_permutation_expansion():
         data = [[Fraction(rng.randint(-5, 5), rng.randint(1, 2))
                  for _ in range(n)] for _ in range(n)]
         assert linalg.det(qrows(data)).as_rational() == _naive_det(data)
+
+
+# ----------------------------------------------------------------------
+# super_rank against its definition
+# ----------------------------------------------------------------------
+
+C5 = field.cyclotomic_field(5)
+K6 = sextic_field()
+ZETA = C5.gen()
+
+
+def super_rank_by_definition(rows):
+    r = len(rows) - 1
+    return linalg.rank(rows) == r and all(linalg.rank(list(sub)) == r
+                                          for sub in combinations(rows, r))
+
+
+@st.composite
+def field_values(draw, K):
+    if K.degree == 1:
+        return K.from_rational(Fraction(draw(st.integers(-4, 4)), draw(st.sampled_from([1, 2, 3]))))
+    return field.FieldValue(K, draw(st.lists(st.integers(-2, 2), min_size=K.degree,
+                                             max_size=K.degree)))
+
+
+@st.composite
+def super_rank_cases(draw):
+    """(r+1)-row matrices over Q, Q(zeta_5) or the sextic.  The rows are
+    a basis of r rows, of fewer (rank-deficient) or of r+1 (full rank),
+    and combinations of it, in any order; one row may then repeat or
+    rescale another.  Basis rows are Vandermonde rows at distinct nodes,
+    so they are independent."""
+    K = draw(st.sampled_from([Q, C5, K6]))
+    r = draw(st.integers(1, 3))
+    ncols = draw(st.integers(r + 1, r + 2))
+    size = draw(st.sampled_from([r, r, max(r - 1, 1), r + 1]))
+    if K.degree == 1:
+        nodes = [K.from_rational(x) for x in draw(st.lists(
+            st.fractions(-4, 4, max_denominator=3), min_size=size, max_size=size, unique=True))]
+    else:
+        nodes = [K.from_rational(a) + K.gen() * b for a, b in draw(st.lists(
+            st.tuples(st.integers(-3, 3), st.integers(-2, 2)), min_size=size, max_size=size,
+            unique=True))]
+    basis = [[x ** j if j else K.one() for j in range(ncols)] for x in nodes]
+    coeffs = st.lists(st.sampled_from([-2, -1, 1, 3]) | st.integers(-3, 3),
+                      min_size=size, max_size=size)
+    rows = basis + [[sum((b[j] * c for b, c in zip(basis, cs)), K.zero()) for j in range(ncols)]
+                    for cs in draw(st.lists(coeffs, min_size=r + 1 - size, max_size=r + 1 - size))]
+    rows = draw(st.permutations(rows))
+    twist = draw(st.sampled_from(["none", "none", "repeat", "rescale"]))
+    if twist != "none":
+        i, j = draw(st.lists(st.integers(0, r), min_size=2, max_size=2, unique=True))
+        scale = K.one() if twist == "repeat" else draw(field_values(K).filter(bool))
+        rows[j] = [v * scale for v in rows[i]]
+    return rows
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(super_rank_cases())
+@example(qrows([[1, 2, -3], [1, 4, 9], [1, 2, -3]]))   # rows a, b, a at r = 2
+@example(qrows([[1, 2, -3], [2, 4, -6], [1, 4, 9]]))   # proportional rows at r = 2
+@example([[ZETA, C5.one(), C5.from_rational(2)]] * 2)  # two equal rows at r = 1
+def test_super_rank_matches_definition(rows):
+    expected = super_rank_by_definition(rows)
+    assert linalg.super_rank(rows) == expected
+    r = len(rows) - 1
+    if len(set(map(tuple, rows))) <= r:
+        event("repeated row")
+    elif linalg.rank(rows) == r and not expected:
+        event("rank r, an r-subset of lower rank, no repeated row")
+    event(f"{rows[0][0].ambient.kind}, r = {r}, super-rank {expected}")
+
+
+def test_repeated_rows_need_no_elimination(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eliminated")
+
+    monkeypatch.setattr(linalg, "_bareiss", refuse)
+    monkeypatch.setattr(linalg, "_field_eliminate", refuse)
+    a, b = qrows([[1, 2, -3], [1, 4, 9]])
+    assert not linalg.super_rank([a, b, a])
+    z = [[C5.one(), ZETA ** k, ZETA ** (2 * k), ZETA ** (3 * k)] for k in (1, 2, 1, 3)]
+    assert not linalg.super_rank(z)

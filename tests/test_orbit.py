@@ -11,7 +11,9 @@ from superspan.errors import (
     ZeroCoordinate,
 )
 from superspan.orbit import (
+    ExactOrbit,
     ProjPoint,
+    checked_power,
     iterate,
     iterate_matrix,
     subspace_membership,
@@ -121,3 +123,18 @@ def test_membership_dimension_check():
     L = linalg.span_canonical([ProjPoint.rational([1, 2, -3])])
     with pytest.raises(DimensionMismatch):
         subspace_membership(ProjPoint.rational([1, 2]), L)
+
+
+@pytest.mark.parametrize("m", [13, 50])
+def test_exact_orbit_budget(m):
+    # the message is checked_power's, and a refused index is not cached
+    P = ProjPoint.rational([1, 2, -3])
+    exact = ExactOrbit(P, 2, budget=4096)
+    with pytest.raises(ExponentBudgetExceeded) as got:
+        exact[m]
+    with pytest.raises(ExponentBudgetExceeded) as want:
+        checked_power(2, m, 4096)
+    assert str(got.value) == str(want.value)
+    assert m not in exact
+    assert exact.rows([0, 12]) == [P.coords, iterate(P, 2, 12).coords]
+    assert exact[12] is exact[12]
