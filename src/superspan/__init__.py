@@ -57,6 +57,7 @@ from .relations import (
     coordinate_slice,
     exponent_matrix,
     lattice_contains,
+    lattice_reduce,
     relation_lattice,
 )
 from .subsum import (

@@ -29,8 +29,8 @@ from .errors import (
 from .field import FieldDesc, cyclotomic_field, is_prime, monicize, number_field
 from .field import _padd, _pmul  # exact univariate helpers
 from .linalg import Subspace, span_canonical
-from .orbit import ProjPoint, iterate, iterate_matrix, subspace_membership
-from .relations import lattice_contains, relation_lattice
+from .orbit import ExactOrbit, ProjPoint, iterate_matrix, subspace_membership
+from .relations import lattice_reduce, relation_lattice
 
 # the degree-6 example polynomial, raw integer form 2x^6+6x^5+5x^4+5x^2+6x+2
 SEXTIC_RAW = (2, 6, 5, 0, 5, 6, 2)
@@ -133,12 +133,13 @@ def verify_cyclotomic_family(d: int, ell: int, tail: Sequence,
     family = cyclotomic_family(d, ell, tail)
     P = family.point
     n = P.dim
+    orbit = ExactOrbit(P, d)
     checks = []
 
     pattern_ok = True
     detail = f"phi^n(P) in H_i iff d^n = i mod {ell}, for 0 <= n <= {max_iter}"
     for m in range(max_iter + 1):
-        Q = iterate(P, d, m)
+        Q = orbit[m]
         residue = pow(d, m, ell)
         for i in range(1, ell):
             member = subspace_membership(Q, family.hyperplane(i))
@@ -152,8 +153,7 @@ def verify_cyclotomic_family(d: int, ell: int, tail: Sequence,
     for i in range(1, ell):
         base = family.return_index(i)
         indices = [base + k * (ell - 1) for k in range(n + 1)]
-        A = iterate_matrix(P, d, indices)
-        rows = A.rows()
+        rows = orbit.rows(indices)
         if not linalg.super_rank(rows):
             span_ok = False
             detail = f"H_{i}: iterates {indices} do not super-span"
@@ -239,39 +239,36 @@ def quadric_case_probe(P: ProjPoint, d: int, bound: int) -> dict:
         raise OffQuadric("point does not satisfy x0*x1 = x2*x3")
 
     perms = list(permutations(range(4)))
-    pair_fixed_free = {}
-    for sigma in perms:
-        for tau in perms:
-            pair_fixed_free[(sigma, tau)] = all(sigma[i] != tau[i] for i in range(4))
 
     tuples = list(combinations(range(bound + 1), 4))
-    powers = {m: [d ** mi for mi in m] for m in tuples}
     counterexamples = []
     checked = 0
     for m in tuples:
-        k = powers[m]
         for mt in tuples:
             if mt == m:
                 continue
-            kt = powers[mt]
-            gap = [k[i] - kt[i] for i in range(4)]
-            for sigma in perms:
-                gs = [gap[sigma[i]] for i in range(4)]
-                for tau in perms:
-                    checked += 1
-                    v = [gs[i] - gap[tau[i]] for i in range(4)]
-                    if pair_fixed_free[(sigma, tau)]:
-                        if lattice_contains(lattice, v):
-                            counterexamples.append(
-                                {"m": list(m), "m_tilde": list(mt),
-                                 "sigma": list(sigma), "tau": list(tau),
-                                 "v": v, "case": "fixed_point_free"})
+            gap = [d ** a - d ** b for a, b in zip(m, mt)]
+            # v = gap o sigma - gap o tau lies in the lattice iff both
+            # permuted gaps reduce to the same representative
+            permuted = [[gap[sigma[i]] for i in range(4)] for sigma in perms]
+            reps = [tuple(lattice_reduce(lattice, gs)) for gs in permuted]
+            classes = {}
+            for b, rep in enumerate(reps):
+                classes.setdefault(rep, []).append(b)
+            checked += len(perms) ** 2
+            for a, rep in enumerate(reps):
+                for b in classes[rep]:
+                    sigma, tau = perms[a], perms[b]
+                    v = [x - y for x, y in zip(permuted[a], permuted[b])]
+                    if all(s != t for s, t in zip(sigma, tau)):
+                        case = "fixed_point_free"
+                    elif any(v):
+                        case = "common_fixed_point"
                     else:
-                        if any(v) and lattice_contains(lattice, v):
-                            counterexamples.append(
-                                {"m": list(m), "m_tilde": list(mt),
-                                 "sigma": list(sigma), "tau": list(tau),
-                                 "v": v, "case": "common_fixed_point"})
+                        continue
+                    counterexamples.append({"m": list(m), "m_tilde": list(mt),
+                                            "sigma": list(sigma), "tau": list(tau),
+                                            "v": v, "case": case})
     return {
         "space": f"tuples with entries <= {bound}, all sigma/tau in S_4, d = {d}",
         "checked": checked,

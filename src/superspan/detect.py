@@ -189,7 +189,7 @@ def enumerate_exceptional(P: ProjPoint, d: int, r: int, max_iter: int,
         # the heuristic count of subspaces a generic point can be made to
         # produce; informational only
         "generic_expectation": n // (n - r + 1),
-        "partition_analyses": [_analyze_tuple(P, d, m, r, n, budget)
+        "partition_analyses": [_analyze_tuple(P, d, m, r, n, exact)
                                for m in confirmed],
     }
     if r == 1 and confirmed:
@@ -199,13 +199,13 @@ def enumerate_exceptional(P: ProjPoint, d: int, r: int, max_iter: int,
                              tuple(records), diagnostics)
 
 
-def _analyze_tuple(P, d, m, r, n, budget) -> dict:
+def _analyze_tuple(P, d, m, r, n, exact) -> dict:
     """Subsum diagnostics for one confirmed tuple: which bullet
     partitions have all block sums vanishing, per column selection, plus
     the finest zero partition when the exhaustive search is cheap."""
     per_p = {}
     for p in subsum.column_selections(r, n):
-        tv = subsum.det_terms(P, d, m, p, budget)
+        tv = subsum.det_terms(P, d, m, p, exact=exact)
         vanishing_t = [t for t in range(r + 1)
                        if all(not tv.block_sum(block)
                               for block in subsum.bullet_partition(r, t).blocks)]

@@ -10,7 +10,8 @@ therefore a lazy handle: rank queries should prefer the modular filter
 and only materialize entries when a tuple survives it.  A detection run
 holds two caches of its orbit: ModularOrbit keeps it modulo the filter
 primes, as rows of ints, and ExactOrbit keeps the exact iterates it has
-materialized, each at most once.
+materialized, each at most once.  Membership of a point in a subspace
+is read off the subspace's RREF basis by substitution.
 """
 
 from __future__ import annotations
@@ -259,10 +260,13 @@ class ModularOrbit:
 
 
 def subspace_membership(Q: ProjPoint, L: linalg.Subspace) -> bool:
-    """True iff Q lies in the span of L's basis rows."""
+    """True iff Q lies in the span of L's basis rows.  The basis is in
+    RREF, so that holds iff Q equals the sum of the rows scaled by Q's
+    entries at their pivots: no elimination and no inverse."""
     if Q.dim != L.ambient_dim:
         raise DimensionMismatch(
             f"point in P^{Q.dim} tested against a subspace of P^{L.ambient_dim}")
-    rows = [list(row) for row in L.basis]
-    rows.append(list(Q.coords))
-    return linalg.rank(rows) == L.rank
+    pivots = [next(j for j, v in enumerate(row) if v) for row in L.basis]
+    zero = Q.ambient.zero()
+    return all(sum((Q.coords[k] * row[j] for k, row in zip(pivots, L.basis) if row[j]),
+                   zero) == q for j, q in enumerate(Q.coords) if j not in pivots)

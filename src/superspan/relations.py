@@ -3,8 +3,11 @@
 For a point with nonzero rational coordinates, a relation is an integer
 vector e with sum zero such that the product of the coordinates raised
 to the e_i equals exactly 1.  Relations form a sublattice of Z^(n+1),
-computed here as the integer kernel of the prime-exponent map together
-with a sign-parity constraint (the product must be +1, not -1).
+computed here as the integer kernel of the exponent map over a coprime
+base, found by gcds alone after Bernstein, "Factoring into coprimes in
+essentially linear time" (J. Algorithms 2005), together with a
+sign-parity constraint (the product must be +1, not -1).  Nothing is
+factored.  Lattices are kept in Hermite normal form.
 
 Points of the shape [1, zeta_ell * q1, q2, ...] over a cyclotomic field
 are also supported: each coordinate must be a rational multiple of a
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import List, Sequence, Tuple
 
 from .errors import DimensionMismatch, SoundnessError, Unsupported, ZeroCoordinate
@@ -77,21 +81,36 @@ def integer_kernel(mat: Sequence[Sequence[int]]) -> List[List[int]]:
 
 
 # ----------------------------------------------------------------------
-# coordinate factorization
+# coprime base
 # ----------------------------------------------------------------------
 
-def _factorize(n: int) -> dict:
-    """Trial-division factorization of a positive integer."""
-    factors = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
+def coprime_base(values: Sequence[int]) -> List[int]:
+    """Sorted pairwise coprime integers > 1 whose powers give every value.
+
+    When a pending x shares g = gcd(x, b) > 1 with a base element b, b
+    is replaced by g, b // g and x // g; each split divides the product
+    of all pending and base integers by g, so the loop ends.  Quadratic
+    in the number of values (Bernstein's algorithm is near-linear)."""
+    base: List[int] = []
+    pending = [v for v in values if v > 1]
+    while pending:
+        x = pending.pop()
+        for i, b in enumerate(base):
+            g = gcd(x, b)
+            if g > 1:
+                del base[i]
+                pending += [y for y in (g, b // g, x // g) if y > 1]
+                break
+        else:
+            base.append(x)
+    return sorted(base)
+
+
+def _valuation(n: int, b: int) -> int:
+    k = 0
+    while n % b == 0:
+        n, k = n // b, k + 1
+    return k
 
 
 def _as_fraction_list(P) -> List[Fraction]:
@@ -106,28 +125,20 @@ def _as_fraction_list(P) -> List[Fraction]:
 
 
 def exponent_matrix(P) -> Tuple[List[int], List[List[int]], List[int]]:
-    """Prime support of the coordinates of P.
-
-    Returns (primes, E, signs) where E[i][j] is the exponent of
-    primes[j] in coordinate i and signs[i] is +-1.
+    """Returns (base, E, signs): base is the coprime_base of the
+    coordinates' numerators and denominators, E[i][j] the exponent of
+    base[j] in coordinate i and signs[i] is +-1.  Pairwise coprime
+    integers > 1 are multiplicatively independent, so E has the kernel
+    of the prime-exponent matrix.  The base of [1, 6, 36] is [6].
     """
     coords = _as_fraction_list(P)
     if any(c == 0 for c in coords):
         raise ZeroCoordinate("exponent matrix needs nonzero coordinates")
-    factored = []
-    support = set()
-    for c in coords:
-        num = _factorize(abs(c.numerator))
-        den = _factorize(c.denominator)
-        exps = {p: e for p, e in num.items()}
-        for p, e in den.items():
-            exps[p] = exps.get(p, 0) - e
-        factored.append(exps)
-        support.update(exps)
-    primes = sorted(support)
-    E = [[exps.get(p, 0) for p in primes] for exps in factored]
+    base = coprime_base([n for c in coords for n in (abs(c.numerator), c.denominator)])
+    E = [[_valuation(abs(c.numerator), b) - _valuation(c.denominator, b) for b in base]
+         for c in coords]
     signs = [1 if c > 0 else -1 for c in coords]
-    return primes, E, signs
+    return base, E, signs
 
 
 # ----------------------------------------------------------------------
@@ -144,9 +155,6 @@ class RelLattice:
     @property
     def rank(self) -> int:
         return len(self.basis)
-
-    def contains(self, v: Sequence[int]) -> bool:
-        return lattice_contains(self, v)
 
 
 def _cyclotomic_parts(P) -> Tuple[List[Fraction], List[int], int]:
@@ -185,13 +193,13 @@ def relation_lattice(P) -> RelLattice:
         raise ZeroCoordinate("relation lattice needs nonzero coordinates")
 
     n_plus_1 = len(rationals)
-    primes, E, signs = exponent_matrix(rationals)
+    base, E, signs = exponent_matrix(rationals)
 
-    # constraint rows over (e_0..e_n, aux...): prime exponents, the sum,
+    # constraint rows over (e_0..e_n, aux...): base exponents, the sum,
     # and congruences, each with an auxiliary column carrying its
     # modulus: sign parity (2), and for cyclotomic points the torsion
     # congruence (ell)
-    rows = [[E[i][j] for i in range(n_plus_1)] for j in range(len(primes))]
+    rows = [[E[i][j] for i in range(n_plus_1)] for j in range(len(base))]
     rows.append([1] * n_plus_1)
     congruences = []
     if any(s < 0 for s in signs):
@@ -218,20 +226,25 @@ def relation_lattice(P) -> RelLattice:
     return lattice
 
 
-def lattice_contains(L: RelLattice, v: Sequence[int]) -> bool:
-    """Exact membership of an integer vector in the lattice."""
+def lattice_reduce(L: RelLattice, v: Sequence[int]) -> List[int]:
+    """The canonical representative of v modulo the lattice: for each HNF
+    row in order, the entry at its pivot is taken into [0, pivot).  Two
+    vectors differ by a lattice vector iff their representatives agree."""
     v = [int(x) for x in v]
     if len(v) != L.dimension:
         raise DimensionMismatch(
             f"vector of length {len(v)} against a lattice in Z^{L.dimension}")
     for row in L.basis:
         pivot_col = next(i for i, x in enumerate(row) if x)
-        q, r = divmod(v[pivot_col], row[pivot_col])
-        if r:
-            return False
+        q = v[pivot_col] // row[pivot_col]
         if q:
             v = [a - q * b for a, b in zip(v, row)]
-    return not any(v)
+    return v
+
+
+def lattice_contains(L: RelLattice, v: Sequence[int]) -> bool:
+    """Exact membership of an integer vector in the lattice."""
+    return not any(lattice_reduce(L, v))
 
 
 def coordinate_slice(L: RelLattice, indices: Sequence[int]) -> RelLattice:

@@ -32,7 +32,7 @@ from .errors import (
     TooManyTerms,
     ZeroCoordinate,
 )
-from .orbit import ProjPoint, checked_power, validate_exp_tuple
+from .orbit import ExactOrbit, ProjPoint, checked_power, validate_exp_tuple
 
 Perm = Tuple[int, ...]
 
@@ -106,11 +106,15 @@ class TermVector:
 
 def det_terms(P: ProjPoint, d: int, m: Sequence[int],
               p: Optional[Sequence[int]] = None,
-              budget: Optional[int] = None) -> TermVector:
+              budget: Optional[int] = None,
+              exact: Optional[ExactOrbit] = None) -> TermVector:
     """Signed permutation terms of the column-selected iterate minor.
 
     The signed sum over all of S_{r+1} equals the determinant of the
     (r+1)x(r+1) matrix with entry (i, j) = alpha_{p(j)} ** d^{m_i}.
+    With exact, the orbit of P under the degree-d map, the powers are
+    read from its iterates: P has no zero coordinate, so its leading
+    coordinate is 1 and iterate m_i is row i itself.
     """
     if P.has_zero_coordinate():
         raise ZeroCoordinate("term vectors need all coordinates nonzero")
@@ -120,9 +124,12 @@ def det_terms(P: ProjPoint, d: int, m: Sequence[int],
     if p is None:
         p = tuple(range(r + 1))
     p = _validate_columns(p, r, n)
-    powers = [checked_power(d, mi, budget) for mi in m]
     # pow_table[i][k]: coordinate p(i) raised to d^{m_k}
-    pow_table = [[P.coords[p[i]] ** e for e in powers] for i in range(r + 1)]
+    if exact is None:
+        powers = [checked_power(d, mi, budget) for mi in m]
+        pow_table = [[P.coords[p[i]] ** e for e in powers] for i in range(r + 1)]
+    else:
+        pow_table = [[exact[mk].coords[p[i]] for mk in m] for i in range(r + 1)]
     entries = []
     for sigma in symmetric_group(r):
         value = pow_table[0][sigma[0]]

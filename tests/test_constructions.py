@@ -1,8 +1,9 @@
 import warnings
+from itertools import combinations, permutations
 
 import pytest
 
-from superspan import linalg
+from superspan import constructions, linalg, relations
 from superspan.constructions import (
     cyclotomic_family,
     exponent_gap_vector,
@@ -135,6 +136,40 @@ def test_quadric_probe_rejects_wrong_rank_lattice():
 def test_quadric_probe_rejects_wrong_dimension():
     with pytest.raises(OffQuadric):
         quadric_case_probe(ProjPoint.rational([1, 6, 2]), 2, 4)
+
+
+@pytest.mark.parametrize("coarse", [
+    ((1, 0, 0, -1), (0, 1, 0, -1), (0, 0, 1, -1)),   # every sum-zero vector
+    ((1, 1, -1, -1), (0, 2, 0, -2)),
+])
+def test_quadric_probe_matches_per_pair_definition(monkeypatch, coarse):
+    # reducing modulo a lattice coarser than R(P) makes counterexamples
+    # appear; the reference tests every pair for membership on its own
+    L = relations.RelLattice(4, coarse)
+    monkeypatch.setattr(constructions, "lattice_reduce",
+                        lambda lattice, v: relations.lattice_reduce(L, v))
+    d, bound = 2, 4
+    report = quadric_case_probe(ProjPoint.rational([1, 6, 2, 3]), d, bound)
+    expected, checked = [], 0
+    tuples = list(combinations(range(bound + 1), 4))
+    perms = list(permutations(range(4)))
+    for m in tuples:
+        for mt in tuples:
+            if mt == m:
+                continue
+            for sigma in perms:
+                for tau in perms:
+                    checked += 1
+                    v = exponent_gap_vector(d, m, mt, sigma, tau)
+                    fixed_point_free = all(s != t for s, t in zip(sigma, tau))
+                    if (fixed_point_free or any(v)) and relations.lattice_contains(L, v):
+                        expected.append({"m": list(m), "m_tilde": list(mt),
+                                         "sigma": list(sigma), "tau": list(tau), "v": v,
+                                         "case": "fixed_point_free" if fixed_point_free
+                                         else "common_fixed_point"})
+    assert expected
+    assert report["checked"] == checked
+    assert report["counterexamples"] == expected
 
 
 def test_double_transposition_gap_shape():

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, example, given, settings, strategies as st
 
 from superspan import field, linalg
+from superspan.constructions import sextic_field
 from superspan.errors import (
     DimensionMismatch,
     ExponentBudgetExceeded,
@@ -123,6 +125,44 @@ def test_membership_dimension_check():
     L = linalg.span_canonical([ProjPoint.rational([1, 2, -3])])
     with pytest.raises(DimensionMismatch):
         subspace_membership(ProjPoint.rational([1, 2]), L)
+
+
+FIELDS = (field.rational_field(), field.cyclotomic_field(5), sextic_field())
+
+
+@st.composite
+def membership_cases(draw):
+    """A subspace of P^n over Q, Q(zeta_5) or the sextic, spanned by up to
+    n+1 random rows, and a point that is half the time a combination of
+    its basis rows."""
+    K = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 3))
+    entries = st.fractions(-3, 3, max_denominator=3) if K.degree == 1 else st.integers(-2, 2)
+    values = st.lists(entries, min_size=K.degree, max_size=K.degree).map(
+        lambda cs: field.FieldValue(K, cs))
+    rows = st.lists(values, min_size=n + 1, max_size=n + 1)
+    L = linalg.span_canonical(draw(st.lists(rows, min_size=1, max_size=n + 1)))
+    coords = draw(rows)
+    if L.rank and draw(st.booleans()):
+        coeffs = draw(st.lists(values, min_size=L.rank, max_size=L.rank))
+        coords = [sum((c * row[j] for c, row in zip(coeffs, L.basis)), K.zero())
+                  for j in range(n + 1)]
+    if all(v.is_zero() for v in coords):
+        coords[0] = K.one()
+    return ProjPoint(K, coords), L
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(membership_cases())
+@example((ProjPoint.rational([1, 16, 81]),
+          linalg.span_canonical([ProjPoint.rational([1, 2, -3]), ProjPoint.rational([1, 4, 9])])))
+@example((ProjPoint.rational([1, 5, 0, 7]),
+          linalg.span_canonical([ProjPoint.rational([1, 5, 0, 0]), ProjPoint.rational([0, 0, 1, 1])])))
+def test_membership_matches_rank(case):
+    Q, L = case
+    member = subspace_membership(Q, L)
+    assert member == (linalg.rank(list(L.basis) + [Q.coords]) == L.rank)
+    event(f"{Q.ambient.kind}, member {member}")
 
 
 @pytest.mark.parametrize("m", [13, 50])

@@ -1,10 +1,13 @@
+import json
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
+from hypothesis import event, example, given, settings, strategies as st
 
 import superspan
 from superspan import field, relations
@@ -18,6 +21,7 @@ from superspan.relations import (
     hermite_normal_form,
     integer_kernel,
     lattice_contains,
+    lattice_reduce,
     relation_lattice,
 )
 
@@ -74,6 +78,12 @@ def test_exponent_matrix_units():
     assert primes == []
     assert E == [[], []]
     assert signs == [1, 1]
+
+
+def test_exponent_matrix_composite_base():
+    base, E, _ = exponent_matrix([1, 6, 36, Fraction(1, 6)])
+    assert base == [6]
+    assert E == [[0], [1], [2], [-1]]
 
 
 def test_exponent_matrix_zero():
@@ -248,3 +258,76 @@ def test_soundness_check_survives_optimize_flag():
                          text=True, env={"PYTHONPATH": src}, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "raised"
+
+
+def test_relations_cli_large_prime_coordinate(capsys):
+    # 2^61 - 1 is prime: trial division up to its square root would not finish
+    q = 2 ** 61 - 1
+    assert cli_main(["relations", "--point", json.dumps([1, q, 3, 3 * q])]) == 0
+    assert json.loads(capsys.readouterr().out)["basis"] == [[1, -1, -1, 1]]
+
+
+# ----------------------------------------------------------------------
+# properties
+# ----------------------------------------------------------------------
+
+BIG = 10 ** 12 + 39
+# small primes, and a large factor shared in the shapes q, 2q and q^2,
+# so that the coprime base must split coordinates by gcds
+FACTORS = (2, 3, 5, BIG, 2 * BIG, BIG ** 2)
+products = st.lists(st.sampled_from(FACTORS), max_size=3).map(prod)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.builds(lambda s, a, b: Fraction(s * a, b), st.sampled_from([1, -1]),
+                          products, products), min_size=2, max_size=4))
+@example([Fraction(1), Fraction(BIG), Fraction(2 * BIG), Fraction(BIG ** 2)])
+@example([Fraction(6), Fraction(-BIG, 3), Fraction(2 * BIG ** 2, 5), Fraction(-12)])
+def test_relation_lattice_matches_exhaustive_check(coords):
+    base, E, _ = exponent_matrix(coords)
+    assert all(b > 1 for b in base) and all(gcd(a, b) == 1 for a, b in combinations(base, 2))
+    for q, row in zip(coords, E):
+        assert prod((Fraction(b) ** e for b, e in zip(base, row)), start=Fraction(1)) == abs(q)
+    L = relation_lattice(coords)
+    relations_found = set(brute_force_relations(coords, bound=2))
+    for e in product(range(-2, 3), repeat=len(coords)):
+        if not sum(e):
+            assert lattice_contains(L, e) == (e in relations_found), e
+    event(f"{len(coords)} coordinates, rank {L.rank}, {len(relations_found) - 1} small relations")
+
+
+def _combination(L, coeffs):
+    return [sum(c * row[i] for c, row in zip(coeffs, L.basis)) for i in range(L.dimension)]
+
+
+@st.composite
+def lattice_cases(draw):
+    """A lattice from random generators, a vector, and the coefficients of
+    a lattice vector to shift it by; half the vectors are lattice vectors."""
+    dim = draw(st.integers(1, 5))
+    vectors = st.lists(st.integers(-9, 9), min_size=dim, max_size=dim)
+    L = RelLattice(dim, tuple(map(tuple, hermite_normal_form(
+        draw(st.lists(vectors, max_size=dim))))))
+    coeffs = st.lists(st.integers(-4, 4), min_size=L.rank, max_size=L.rank)
+    v = draw(vectors)
+    if draw(st.booleans()):
+        v = _combination(L, draw(coeffs))
+    return L, v, draw(coeffs)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(lattice_cases())
+@example((RelLattice(4, ((1, 1, -1, -1),)), [-3, -3, 3, 3], [2]))
+@example((RelLattice(2, ((2, -2),)), [-1, 1], [-1]))
+def test_lattice_reduce_is_canonical(case):
+    L, v, coeffs = case
+    rep = lattice_reduce(L, v)
+    shifted = [a + b for a, b in zip(v, _combination(L, coeffs))]
+    assert lattice_reduce(L, shifted) == rep
+    for row in L.basis:
+        pivot_col = next(i for i, x in enumerate(row) if x)
+        assert 0 <= rep[pivot_col] < row[pivot_col]
+    # membership by an independent route: v leaves the HNF unchanged
+    member = hermite_normal_form(list(L.basis) + [v]) == [list(row) for row in L.basis]
+    assert (not any(rep)) == member == lattice_contains(L, v)
+    event(f"rank {L.rank}, member {member}")
