@@ -175,7 +175,8 @@ def _cmd_verify(args) -> int:
     if args.target == "cyclotomic":
         tail = [Fraction(t) for t in args.tail.split(",")] if args.tail else []
         report = constructions.verify_cyclotomic_family(
-            args.d if args.d is not None else 2, args.ell, tail, args.max_iter)
+            args.d if args.d is not None else 2, args.ell, tail, args.max_iter,
+            _resolve_budget(args))
         _emit(args, report)
         return EXIT_OK if all(c["pass"] for c in report["checks"]) else EXIT_CHECK_FAILED
     if args.target == "quadric":

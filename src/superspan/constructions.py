@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from . import linalg
 from .errors import (
@@ -127,13 +127,14 @@ def cyclotomic_family(d: int, ell: int, tail: Sequence) -> CyclotomicFamily:
 
 
 def verify_cyclotomic_family(d: int, ell: int, tail: Sequence,
-                             max_iter: int = 20) -> dict:
+                             max_iter: int = 20, budget: Optional[int] = None) -> dict:
     """Exact verification of the family's membership pattern and of the
-    super-spanning of each hyperplane by n+1 orbit points."""
+    super-spanning of each hyperplane by n+1 orbit points.  An iterate
+    whose exponent d^m exceeds the budget raises ExponentBudgetExceeded."""
     family = cyclotomic_family(d, ell, tail)
     P = family.point
     n = P.dim
-    orbit = ExactOrbit(P, d)
+    orbit = ExactOrbit(P, d, budget)
     checks = []
 
     pattern_ok = True

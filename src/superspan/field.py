@@ -3,9 +3,12 @@
 Three kinds of ambient are supported: the rationals, number fields
 Q[x]/(f) with f monic over Q, and cyclotomic fields Q(zeta_ell) for an
 odd prime ell.  Elements are represented by their unique reduced
-polynomial of degree < deg(f), stored as a coefficient vector of
-arbitrary-precision rationals (constant term first).  All operations are
-pure and every value is immutable, so values may be shared freely.
+polynomial of degree < deg(f), stored as integer numerators (constant
+term first) over one common denominator (Cohen, A Course in Computational
+Algebraic Number Theory, 4.2).  A product is an integer convolution
+reduced through the rows x^k mod f, k >= deg(f), computed once per
+minimal polynomial.  All operations are pure and every value is
+immutable, so values may be shared freely.
 
 Reduction modulo a machine-word prime feeds the fast rank filter:
 reduce_mod_prime maps a value into F_p[x]/(f mod p), root_mod_prime
@@ -18,8 +21,9 @@ filter no longer uses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from . import modp
@@ -154,27 +158,55 @@ def is_prime(n: int) -> bool:
 # ambient field descriptions
 # ----------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _reduction_rows(min_poly: tuple) -> tuple:
+    """(E, rows) with x^k mod f = rows[k - n] / E for k = n..2n-2, a row
+    being the (index, int) pairs of its nonzero entries.  With F = D*f for
+    the common denominator D, x^k mod f = R_k / D^(k-n+1) where R_n = -F
+    and R_(k+1) = D * shift(R_k) - top(R_k) * F."""
+    n = len(min_poly) - 1
+    D = math.lcm(*(c.denominator for c in min_poly))
+    F = [c.numerator * (D // c.denominator) for c in min_poly[:n]]
+    rows = [[-c for c in F]]
+    for _ in range(n - 2):
+        R = rows[-1]
+        rows.append([D * s - R[-1] * c for s, c in zip([0] + R[:-1], F)])
+    # bring row k over D^(n-1), then into lowest terms together
+    rows = [[c * D ** (n - 2 - j) for c in R] for j, R in enumerate(rows)]
+    E = D ** (n - 1)
+    g = math.gcd(E, *(c for R in rows for c in R))
+    return E // g, tuple(tuple((i, c // g) for i, c in enumerate(R) if c) for R in rows)
+
+
 @dataclass(frozen=True)
 class FieldDesc:
     """Description of an ambient field.
 
     min_poly is the monic minimal polynomial (constant term first) for
-    number fields and cyclotomics, None for the rationals.
+    number fields and cyclotomics, None for the rationals.  reduction
+    holds _reduction_rows(min_poly) for fields of degree >= 2.
     """
 
     kind: str
     min_poly: Optional[tuple]
     degree: int
     cyclotomic_order: Optional[int] = None
+    reduction: Optional[tuple] = dc_field(default=None, init=False, repr=False,
+                                          compare=False)
+
+    def __post_init__(self):
+        if self.degree > 1:
+            object.__setattr__(self, "reduction", _reduction_rows(self.min_poly))
 
     def zero(self) -> "FieldValue":
-        return FieldValue(self, ())
+        return _value(self, (0,) * self.degree, 1)
 
     def one(self) -> "FieldValue":
-        return FieldValue(self, (Fraction(1),))
+        return self.from_rational(1)
 
     def from_rational(self, q: Rat) -> "FieldValue":
-        return FieldValue(self, (Fraction(q),))
+        q = Fraction(q)
+        return _value(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)
 
     def gen(self) -> "FieldValue":
         """The class of x (the root of min_poly; zeta for cyclotomics)."""
@@ -250,11 +282,13 @@ def monicize(coeffs: Sequence[Rat]) -> list:
 class FieldValue:
     """An element of an ambient field, canonically reduced.
 
-    The coefficient vector always has length ambient.degree so that
-    equality and hashing are plain tuple comparisons.
+    The value is num / den: num a tuple of ambient.degree ints (constant
+    term first), den a positive int, and gcd(den, *num) == 1, so equality
+    and hashing are plain int-tuple comparisons.  coeffs gives the same
+    vector as a tuple of Fractions.
     """
 
-    __slots__ = ("ambient", "coeffs")
+    __slots__ = ("ambient", "num", "den")
 
     def __init__(self, ambient: FieldDesc, coeffs):
         coeffs = [Fraction(c) for c in coeffs]
@@ -263,46 +297,57 @@ class FieldValue:
                 raise ValueError("too many coefficients for the rational field")
             coeffs = _pmod(coeffs, list(ambient.min_poly))
         coeffs += [Fraction(0)] * (ambient.degree - len(coeffs))
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        # over the lcm of reduced denominators the numerators have gcd 1
+        den = math.lcm(*(c.denominator for c in coeffs))
+        _set(self, "ambient", ambient)
+        _set(self, "num", tuple(c.numerator * (den // c.denominator) for c in coeffs))
+        _set(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldValue is immutable")
 
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(Fraction(c, self.den) for c in self.num)
+
     # -- basic protocol --
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.num)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FieldValue):
-            return self.ambient == other.ambient and self.coeffs == other.coeffs
+            return (self.num == other.num and self.den == other.den
+                    and (self.ambient is other.ambient or self.ambient == other.ambient))
         if isinstance(other, (int, Fraction)):
-            return self.coeffs == ((Fraction(other),) + (Fraction(0),) * (self.ambient.degree - 1))
+            return (self.den == other.denominator and self.num[0] == other.numerator
+                    and not any(self.num[1:]))
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.ambient, self.coeffs))
+        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         return f"FieldValue({list(self.coeffs)})"
 
     def as_rational(self) -> Fraction:
         """The value as a rational; raises if it has a nonzero x-part."""
-        if any(self.coeffs[1:]):
+        if any(self.num[1:]):
             raise ValueError("value is not rational")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.num[0], self.den)
 
     def _coerce(self, other):
         if isinstance(other, FieldValue):
-            if other.ambient != self.ambient:
+            if other.ambient is not self.ambient and other.ambient != self.ambient:
                 raise MixedAmbients("operands belong to different ambient fields")
             return other
         if isinstance(other, (int, Fraction)):
-            return FieldValue(self.ambient, (Fraction(other),))
+            return _value(self.ambient,
+                          (other.numerator,) + (0,) * (self.ambient.degree - 1),
+                          other.denominator)
         return NotImplemented
 
     # -- arithmetic --
@@ -311,20 +356,22 @@ class FieldValue:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FieldValue(self.ambient,
-                          tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        da, db = self.den, other.den
+        if da == db:
+            return _canonical(self.ambient, [a + b for a, b in zip(self.num, other.num)], da)
+        return _canonical(self.ambient,
+                          [a * db + b * da for a, b in zip(self.num, other.num)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldValue(self.ambient, tuple(-a for a in self.coeffs))
+        return _value(self.ambient, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FieldValue(self.ambient,
-                          tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + -other
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -336,10 +383,23 @@ class FieldValue:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.ambient.degree == 1:
-            return FieldValue(self.ambient, (self.coeffs[0] * other.coeffs[0],))
-        prod = _pmul(_ptrim(list(self.coeffs)), _ptrim(list(other.coeffs)))
-        return FieldValue(self.ambient, _pmod(prod, list(self.ambient.min_poly)))
+        K = self.ambient
+        n = K.degree
+        if n == 1:
+            return _canonical(K, [self.num[0] * other.num[0]], self.den * other.den)
+        conv = [0] * (2 * n - 1)
+        b = [(j, c) for j, c in enumerate(other.num) if c]
+        for i, a in enumerate(self.num):
+            if a:
+                for j, c in b:
+                    conv[i + j] += a * c
+        E, rows = K.reduction
+        out = conv[:n] if E == 1 else [c * E for c in conv[:n]]
+        for c, row in zip(conv[n:], rows):
+            if c:
+                for i, r in row:
+                    out[i] += c * r
+        return _canonical(K, out, self.den * other.den * E)
 
     __rmul__ = __mul__
 
@@ -347,14 +407,14 @@ class FieldValue:
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         if self.ambient.degree == 1:
-            return FieldValue(self.ambient, (1 / self.coeffs[0],))
+            a, b = self.den, self.num[0]
+            return _value(self.ambient, (-a,) if b < 0 else (a,), abs(b))
         g, s, _ = _pxgcd(_ptrim(list(self.coeffs)), list(self.ambient.min_poly))
         if len(g) != 1:
             # gcd has positive degree: min_poly is reducible and self is a
             # zero divisor; report rather than return a wrong value
             raise NonInvertible("element is a zero divisor (reducible minimal polynomial)")
-        inv = [c / g[0] for c in s]
-        return FieldValue(self.ambient, _pmod(inv, list(self.ambient.min_poly)))
+        return FieldValue(self.ambient, [c / g[0] for c in s])
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -376,7 +436,7 @@ class FieldValue:
         if e < 0:
             return self.inverse() ** (-e)
         if self.ambient.degree == 1:
-            return FieldValue(self.ambient, (self.coeffs[0] ** e,))
+            return _value(self.ambient, (self.num[0] ** e,), self.den ** e)
         result = self.ambient.one()
         base = self
         while e:
@@ -386,6 +446,27 @@ class FieldValue:
             if e:
                 base = base * base
         return result
+
+
+_set = object.__setattr__
+
+
+def _value(ambient: FieldDesc, num: tuple, den: int) -> FieldValue:
+    """The FieldValue num / den, which must already be canonical."""
+    v = object.__new__(FieldValue)
+    _set(v, "ambient", ambient)
+    _set(v, "num", num)
+    _set(v, "den", den)
+    return v
+
+
+def _canonical(ambient: FieldDesc, num: list, den: int) -> FieldValue:
+    """The FieldValue num / den for den > 0, brought into lowest terms."""
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            return _value(ambient, tuple(c // g for c in num), den // g)
+    return _value(ambient, tuple(num), den)
 
 
 # ----------------------------------------------------------------------
@@ -515,22 +596,17 @@ def reduce_mod_prime(a: FieldValue, p: int) -> ModularResidue:
     """
     if p < 2 or not is_prime(p):
         raise BadPrime(f"{p} is not prime")
-    for c in a.coeffs:
-        if c.denominator % p == 0:
-            raise BadPrime(f"denominator of coefficient collides with {p}")
+    if a.den % p == 0:
+        raise BadPrime(f"denominator of coefficient collides with {p}")
+    den_inv = pow(a.den, p - 2, p)
+    coeffs = tuple(c * den_inv % p for c in a.num)
     if a.ambient.min_poly is None:
-        c = a.coeffs[0]
-        num = c.numerator % p
-        den_inv = pow(c.denominator % p, p - 2, p)
-        return ModularResidue(p, ((num * den_inv) % p,), None)
+        return ModularResidue(p, coeffs, None)
     fmodp = _min_poly_mod(a.ambient, p)
     g, _ = modp.poly_xgcd(modp.poly_trim(list(fmodp)), modp.poly_deriv(fmodp, p), p)
     if len(g) != 1:
         raise BadPrime(f"minimal polynomial is not squarefree mod {p}")
-    coeffs = []
-    for c in a.coeffs:
-        coeffs.append((c.numerator * pow(c.denominator % p, p - 2, p)) % p)
-    return ModularResidue(p, tuple(coeffs), tuple(fmodp))
+    return ModularResidue(p, coeffs, tuple(fmodp))
 
 
 def root_mod_prime(ambient: FieldDesc, p: int) -> Optional[int]:

@@ -52,10 +52,9 @@ def _integer_rows(rows):
     out = []
     scale = 1
     for row in rows:
-        fracs = [v.coeffs[0] for v in row]
-        s = lcm(*(f.denominator for f in fracs))
+        s = lcm(*(v.den for v in row))
         scale *= s
-        out.append([int(f * s) for f in fracs])
+        out.append([v.num[0] * (s // v.den) for v in row])
     return out, scale
 
 

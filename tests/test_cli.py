@@ -1,8 +1,12 @@
 import json
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import superspan
 from superspan import detect
 from superspan.cli import main
 
@@ -138,6 +142,30 @@ def test_verify_cyclotomic(capsys):
     assert code == 0
     doc = json.loads(out)
     assert all(c["pass"] for c in doc["checks"])
+
+
+def _limit_memory():
+    # a verifier that ignores the budget grows one integer without bound;
+    # fail with MemoryError instead of exhausting the machine
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("how", ["flag", "environment"])
+def test_verify_cyclotomic_honours_budget(how):
+    # 3^23 is below the default exponent budget, so without the budget
+    # this family builds 2^(3^23), an integer of about 11 GB
+    argv = ["verify", "cyclotomic", "--ell", "7", "--d", "3", "--tail", "2,5",
+            "--max-iter", "10"]
+    env = {"PYTHONPATH": str(Path(superspan.__file__).resolve().parents[1])}
+    if how == "flag":
+        argv += ["--budget", "4096"]
+    else:
+        env["SUPERSPAN_BUDGET"] = "4096"
+    code = f"import sys; from superspan.cli import main; sys.exit(main({argv!r}))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=30, preexec_fn=_limit_memory)
+    assert out.returncode == 3, out.stderr
+    assert "exceeds the exponent budget" in out.stderr
 
 
 def test_verify_lemmas(capsys):

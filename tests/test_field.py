@@ -1,7 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superspan import field
 from superspan.errors import (
@@ -200,3 +202,93 @@ def test_is_prime():
     assert field.is_prime(2) and field.is_prime(10007)
     assert not field.is_prime(1) and not field.is_prime(10001)
     assert field.is_prime((1 << 31) - 1)
+
+
+# ----------------------------------------------------------------------
+# the integer kernel against the Fraction-polynomial reference
+# ----------------------------------------------------------------------
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+# x^3 - x/2 + 1/3: irreducible (6x^3 - 3x + 2 has no rational root), with
+# denominators in its minimal polynomial
+CUBIC = [Fraction(1, 3), Fraction(-1, 2), 0, 1]
+KERNEL_FIELDS = [Q, C5, field.cyclotomic_field(7), field.number_field(SEXTIC),
+                 field.number_field(CUBIC)]
+
+rationals = st.one_of(st.just(Fraction(0)),
+                      st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)))
+
+
+def ref_mul(K, a, b):
+    """a*b on Fraction coefficient tuples through _pmul and _pmod."""
+    prod = field._pmul(field._ptrim(list(a)), field._ptrim(list(b)))
+    if K.min_poly is not None:
+        prod = field._pmod(prod, list(K.min_poly))
+    return tuple(prod) + (Fraction(0),) * (K.degree - len(prod))
+
+
+def embed(K, q):
+    return (Fraction(q),) + (Fraction(0),) * (K.degree - 1)
+
+
+def assert_canonical(v, expected):
+    assert len(v.num) == v.ambient.degree
+    assert all(type(c) is int for c in v.num) and type(v.den) is int
+    assert v.den > 0 and math.gcd(v.den, *v.num) == 1
+    assert v.coeffs == expected
+    assert all(type(c) is Fraction for c in v.coeffs)
+
+
+@st.composite
+def kernel_cases(draw):
+    K = draw(st.sampled_from(KERNEL_FIELDS))
+    a, b = (tuple(draw(st.lists(rationals, min_size=K.degree, max_size=K.degree)))
+            for _ in range(2))
+    q = draw(st.one_of(st.integers(-6, 6), rationals))
+    return K, a, b, q
+
+
+@PROPERTY
+@given(kernel_cases(), st.integers(0, 5))
+def test_kernel_matches_fraction_reference(case, e):
+    K, ca, cb, q = case
+    a, b = field.FieldValue(K, ca), field.FieldValue(K, cb)
+    assert_canonical(a, ca)
+    assert_canonical(a * b, ref_mul(K, ca, cb))
+    assert_canonical(a + b, tuple(x + y for x, y in zip(ca, cb)))
+    assert_canonical(a - b, tuple(x - y for x, y in zip(ca, cb)))
+    assert_canonical(-a, tuple(-x for x in ca))
+    # mixed int / Fraction operands, on either side
+    cq = embed(K, q)
+    assert_canonical(a * q, ref_mul(K, ca, cq))
+    assert_canonical(q * a, ref_mul(K, ca, cq))
+    assert_canonical(a + q, tuple(x + y for x, y in zip(ca, cq)))
+    assert_canonical(q + a, tuple(x + y for x, y in zip(ca, cq)))
+    assert_canonical(a - q, tuple(x - y for x, y in zip(ca, cq)))
+    assert_canonical(q - a, tuple(y - x for x, y in zip(ca, cq)))
+    if any(ca) or e:
+        power = embed(K, 1)
+        for _ in range(e):
+            power = ref_mul(K, power, ca)
+        assert_canonical(a ** e, power)
+    if any(cb):
+        inv = b.inverse()
+        assert ref_mul(K, inv.coeffs, cb) == embed(K, 1)
+        assert_canonical(inv, inv.coeffs)
+        assert_canonical(a / b, ref_mul(K, ca, inv.coeffs))
+        assert_canonical(q / b, ref_mul(K, cq, inv.coeffs))
+    if q:
+        assert_canonical(a / q, tuple(x / q for x in ca))
+
+
+@PROPERTY
+@given(kernel_cases())
+def test_equal_values_hash_alike(case):
+    K, ca, cb, _ = case
+    a, b = field.FieldValue(K, ca), field.FieldValue(K, cb)
+    assert (a == b) == (ca == cb)
+    # one value reached along different paths
+    for x, y in [(a * b, b * a), ((a + b) - b, a), (a * b + a, a * (b + 1)),
+                 (field.FieldValue(K, (a * b).coeffs), a * b)]:
+        assert x == y and hash(x) == hash(y)

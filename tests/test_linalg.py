@@ -283,3 +283,31 @@ def test_repeated_rows_need_no_elimination(monkeypatch):
     assert not linalg.super_rank([a, b, a])
     z = [[C5.one(), ZETA ** k, ZETA ** (2 * k), ZETA ** (3 * k)] for k in (1, 2, 1, 3)]
     assert not linalg.super_rank(z)
+
+
+@st.composite
+def span_cases(draw):
+    """Rows over Q or Q(zeta_5), sometimes with a dependent last row, and
+    a permutation and nonzero scale factors to apply to them."""
+    K = draw(st.sampled_from([Q, C5]))
+    ncols = draw(st.integers(2, 4))
+    rows = [[draw(field_values(K)) for _ in range(ncols)]
+            for _ in range(draw(st.integers(1, 3)))]
+    if len(rows) >= 2 and draw(st.booleans()):
+        c = draw(field_values(K))
+        rows.append([a + c * b for a, b in zip(rows[0], rows[1])])
+    order = draw(st.permutations(range(len(rows))))
+    scales = [draw(field_values(K).filter(bool)) for _ in rows]
+    return rows, order, scales
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(span_cases())
+def test_span_canonical_invariant_under_row_permutation_and_scaling(case):
+    rows, order, scales = case
+    moved = [[v * s for v in rows[i]] for i, s in zip(order, scales)]
+    L = linalg.span_canonical(rows)
+    assert linalg.span_canonical(moved) == L
+    assert linalg.span_canonical(moved).key() == L.key()
+    assert L.rank == linalg.rank(rows)
+    event(f"{rows[0][0].ambient.kind}, {len(rows)} rows, rank {L.rank}")

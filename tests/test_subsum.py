@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, event, given, settings, strategies as st
 
 from superspan import field, linalg
 from superspan.errors import (
@@ -386,3 +387,44 @@ def test_finest_partition_is_canonically_least():
         res = finest_zero_partition(tv)
         assert res.partition.blocks == min(valid)
         assert res.non_unique == (len(set(valid)) > 1)
+
+
+C5_TERMS = field.cyclotomic_field(5)
+
+
+@st.composite
+def zero_block_term_vectors(draw):
+    """r = 2 term vectors whose signed values vanish on each block of a
+    random partition of S_3: the last value of a block is minus the sum
+    of the others.  Small values make further vanishing subsums common."""
+    K = draw(st.sampled_from([field.rational_field(), C5_TERMS]))
+    if K.degree == 1:
+        values = st.integers(-3, 3).filter(bool).map(K.from_rational)
+    else:
+        values = st.tuples(st.integers(-2, 2), st.integers(-1, 1)).filter(any).map(
+            lambda ab: K.from_rational(ab[0]) + K.gen() * ab[1])
+    order = draw(st.permutations(symmetric_group(2)))
+    sizes = draw(st.sampled_from([(6,), (2, 4), (4, 2), (3, 3), (2, 2, 2)]))
+    signed = {}
+    start = 0
+    for size in sizes:
+        block = order[start:start + size]
+        start += size
+        for perm in block[:-1]:
+            signed[perm] = draw(values)
+        signed[block[-1]] = -sum((signed[perm] for perm in block[:-1]), K.zero())
+        assume(signed[block[-1]])
+    entries = tuple((perm, perm_sign(perm), signed[perm] * perm_sign(perm))
+                    for perm in symmetric_group(2))
+    return TermVector(2, entries)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(zero_block_term_vectors())
+def test_finest_zero_partition_matches_bruteforce(tv):
+    found = finest_zero_partition(tv).partition
+    zero_subsets = [set(s) for s in vanishing_subsum_bruteforce(tv)]
+    for block in found.blocks:
+        assert not tv.block_sum(block)
+        assert not any(s < set(block) for s in zero_subsets)
+    event(f"{len(found.blocks)} blocks, {len(zero_subsets)} vanishing subsums")
