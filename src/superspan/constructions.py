@@ -29,7 +29,7 @@ from .errors import (
 from .field import FieldDesc, cyclotomic_field, is_prime, monicize, number_field
 from .field import _padd, _pmul  # exact univariate helpers
 from .linalg import Subspace, span_canonical
-from .orbit import ExactOrbit, ProjPoint, iterate_matrix, subspace_membership
+from .orbit import ExactOrbit, ProjPoint, iterate_matrix
 from .relations import lattice_reduce, relation_lattice
 
 # the degree-6 example polynomial, raw integer form 2x^6+6x^5+5x^4+5x^2+6x+2
@@ -140,10 +140,9 @@ def verify_cyclotomic_family(d: int, ell: int, tail: Sequence,
     pattern_ok = True
     detail = f"phi^n(P) in H_i iff d^n = i mod {ell}, for 0 <= n <= {max_iter}"
     for m in range(max_iter + 1):
-        Q = orbit[m]
         residue = pow(d, m, ell)
         for i in range(1, ell):
-            member = subspace_membership(Q, family.hyperplane(i))
+            member = orbit.member(m, family.hyperplane(i))
             if member != (residue == i):
                 pattern_ok = False
                 detail = f"pattern fails at n={m}, i={i}"

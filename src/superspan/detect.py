@@ -8,9 +8,9 @@ form of their span, and counts how many orbit points up to M each
 resulting subspace contains.  The count reuses the filter's residue
 rows: an iterate is certified off a subspace L when its row raises the
 rank of L's basis reduced mod some filter prime, and only the remaining
-candidates are materialized and tested exactly.  Confirmation, grouping
-and the count share one ExactOrbit, which makes each iterate at most
-once; a tuple repeating an orbit point (r >= 2) needs no elimination.
+candidates are tested exactly.  Confirmation, grouping and the count
+share one ExactOrbit, which computes each coordinate power at most once;
+a tuple repeating an orbit point (r >= 2) needs no elimination.
 
 Finiteness of the set of such subspaces comes with no effective bound
 on the largest iterate index involved, so results are always reported
@@ -31,7 +31,7 @@ from . import subsum
 from .errors import BadPrime, ExponentBudgetExceeded, Unsupported, ZeroCoordinate
 from .field import is_prime
 from .linalg import Subspace, _rank_mod_p, modular_rank_filter, span_canonical, super_rank
-from .orbit import ExactOrbit, ModularOrbit, ProjPoint, checked_power, subspace_membership
+from .orbit import ExactOrbit, ModularOrbit, ProjPoint, checked_power
 
 DEFAULT_FILTER_PRIME_COUNT = 3
 DEFAULT_SEED = 0
@@ -105,7 +105,7 @@ def intersection_count(P: ProjPoint, d: int, L: Subspace, max_iter: int,
         if any(_rank_mod_p(rows + [orbit.row(p, m)], p) == L.rank + 1
                for p, rows in reduced.items()):
             continue
-        if subspace_membership(exact[m], L):
+        if exact.member(m, L):
             count += 1
     return count
 

@@ -284,8 +284,9 @@ class FieldValue:
 
     The value is num / den: num a tuple of ambient.degree ints (constant
     term first), den a positive int, and gcd(den, *num) == 1, so equality
-    and hashing are plain int-tuple comparisons.  coeffs gives the same
-    vector as a tuple of Fractions.
+    and hashing are plain int-tuple comparisons.  A rational value equals,
+    and hashes like, the int or Fraction num[0] / den.  coeffs gives the
+    same vector as a tuple of Fractions.
     """
 
     __slots__ = ("ambient", "num", "den")
@@ -328,7 +329,9 @@ class FieldValue:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        if any(self.num[1:]):
+            return hash((self.num, self.den))
+        return hash(self.num[0]) if self.den == 1 else hash(Fraction(self.num[0], self.den))
 
     def __repr__(self) -> str:
         return f"FieldValue({list(self.coeffs)})"

@@ -9,9 +9,10 @@ is guarded by a configurable budget on the exponent d^m.  IterMatrix is
 therefore a lazy handle: rank queries should prefer the modular filter
 and only materialize entries when a tuple survives it.  A detection run
 holds two caches of its orbit: ModularOrbit keeps it modulo the filter
-primes, as rows of ints, and ExactOrbit keeps the exact iterates it has
-materialized, each at most once.  Membership of a point in a subspace
-is read off the subspace's RREF basis by substitution.
+primes, as rows of ints, and ExactOrbit keeps exact coordinate powers,
+each computed at most once.  Membership of a point in a subspace is read
+off the subspace's RREF basis by substitution, reading only the
+coordinates the basis needs.
 """
 
 from __future__ import annotations
@@ -114,17 +115,36 @@ def iterate(P: ProjPoint, d: int, m: int,
 
 
 class ExactOrbit(dict):
-    """orbit[m] is the m-th iterate, materialized at most once by iterate
-    and so under the exponent budget: an index past it raises
-    ExponentBudgetExceeded and stays out of the cache."""
+    """The exact orbit as a cache of coordinate powers: power(j, m) is
+    alpha_j ** (d^m), computed once, as the largest cached alpha_j ** (d^k)
+    with k < m raised to d^(m-k).  The point is canonical, with leading
+    coordinate 1, so orbit[m], built once, is exactly these powers.  An
+    index past the exponent budget raises ExponentBudgetExceeded and
+    stays out of both caches."""
 
     def __init__(self, point: ProjPoint, d: int, budget: Optional[int] = None):
         super().__init__()
         self.point, self.degree, self.budget = point, d, budget
+        self.powers = [{} for _ in point.coords]  # per coordinate: m -> its power
+
+    def power(self, j: int, m: int) -> FieldValue:
+        """Coordinate j of the point raised to d^m."""
+        cache = self.powers[j]
+        if m not in cache:
+            e = checked_power(self.degree, m, self.budget)
+            k = max((k for k in cache if k < m), default=None)
+            cache[m] = (self.point.coords[j] ** e if k is None
+                        else cache[k] ** (self.degree ** (m - k)))
+        return cache[m]
 
     def __missing__(self, m: int) -> ProjPoint:
-        self[m] = Q = iterate(self.point, self.degree, m, self.budget)
+        self[m] = Q = ProjPoint(self.point.ambient,
+                                [self.power(j, m) for j in range(len(self.point.coords))])
         return Q
+
+    def member(self, m: int, L: linalg.Subspace) -> bool:
+        """True iff iterate m lies on L (see subspace_membership)."""
+        return _in_span(self.point, lambda j: self.power(j, m), L)
 
     def rows(self, m: Sequence[int]) -> list:
         """The coordinate rows of the iterates m_0, m_1, ..., in order."""
@@ -260,13 +280,20 @@ class ModularOrbit:
 
 
 def subspace_membership(Q: ProjPoint, L: linalg.Subspace) -> bool:
-    """True iff Q lies in the span of L's basis rows.  The basis is in
-    RREF, so that holds iff Q equals the sum of the rows scaled by Q's
-    entries at their pivots: no elimination and no inverse."""
-    if Q.dim != L.ambient_dim:
+    """True iff Q lies in the span of L's basis rows."""
+    return _in_span(Q, Q.coords.__getitem__, L)
+
+
+def _in_span(P: ProjPoint, coord, L: linalg.Subspace) -> bool:
+    """True iff the point with coordinates coord(j), in the space of P,
+    lies in the span of L's RREF basis: iff each non-pivot coordinate is
+    the sum of the rows' entries there scaled by the point's pivot
+    coordinates.  No elimination, no inverse, and a pivot coordinate is
+    read only where its row is nonzero."""
+    if P.dim != L.ambient_dim:
         raise DimensionMismatch(
-            f"point in P^{Q.dim} tested against a subspace of P^{L.ambient_dim}")
+            f"point in P^{P.dim} tested against a subspace of P^{L.ambient_dim}")
     pivots = [next(j for j, v in enumerate(row) if v) for row in L.basis]
-    zero = Q.ambient.zero()
-    return all(sum((Q.coords[k] * row[j] for k, row in zip(pivots, L.basis) if row[j]),
-                   zero) == q for j, q in enumerate(Q.coords) if j not in pivots)
+    zero = P.ambient.zero()
+    return all(sum((coord(k) * row[j] for k, row in zip(pivots, L.basis) if row[j]),
+                   zero) == coord(j) for j in range(P.dim + 1) if j not in pivots)

@@ -113,8 +113,7 @@ def det_terms(P: ProjPoint, d: int, m: Sequence[int],
     The signed sum over all of S_{r+1} equals the determinant of the
     (r+1)x(r+1) matrix with entry (i, j) = alpha_{p(j)} ** d^{m_i}.
     With exact, the orbit of P under the degree-d map, the powers are
-    read from its iterates: P has no zero coordinate, so its leading
-    coordinate is 1 and iterate m_i is row i itself.
+    read from its cache of coordinate powers.
     """
     if P.has_zero_coordinate():
         raise ZeroCoordinate("term vectors need all coordinates nonzero")
@@ -129,7 +128,7 @@ def det_terms(P: ProjPoint, d: int, m: Sequence[int],
         powers = [checked_power(d, mi, budget) for mi in m]
         pow_table = [[P.coords[p[i]] ** e for e in powers] for i in range(r + 1)]
     else:
-        pow_table = [[exact[mk].coords[p[i]] for mk in m] for i in range(r + 1)]
+        pow_table = [[exact.power(p[i], mk) for mk in m] for i in range(r + 1)]
     entries = []
     for sigma in symmetric_group(r):
         value = pow_table[0][sigma[0]]

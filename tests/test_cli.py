@@ -150,22 +150,41 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+def _run_limited(argv, **env):
+    """The CLI run in a subprocess, with a 30 s timeout and 1 GiB of
+    address space."""
+    env["PYTHONPATH"] = str(Path(superspan.__file__).resolve().parents[1])
+    code = f"import sys; from superspan.cli import main; sys.exit(main({argv!r}))"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=30, preexec_fn=_limit_memory)
+
+
 @pytest.mark.parametrize("how", ["flag", "environment"])
 def test_verify_cyclotomic_honours_budget(how):
     # 3^23 is below the default exponent budget, so without the budget
     # this family builds 2^(3^23), an integer of about 11 GB
     argv = ["verify", "cyclotomic", "--ell", "7", "--d", "3", "--tail", "2,5",
             "--max-iter", "10"]
-    env = {"PYTHONPATH": str(Path(superspan.__file__).resolve().parents[1])}
+    env = {}
     if how == "flag":
         argv += ["--budget", "4096"]
     else:
         env["SUPERSPAN_BUDGET"] = "4096"
-    code = f"import sys; from superspan.cli import main; sys.exit(main({argv!r}))"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, timeout=30, preexec_fn=_limit_memory)
+    out = _run_limited(argv, **env)
     assert out.returncode == 3, out.stderr
     assert "exceeds the exponent budget" in out.stderr
+
+
+def test_verify_cyclotomic_reads_only_the_hyperplane_coordinates():
+    # whether iterate m lies on x1 = zeta^i x0 never depends on the tail:
+    # 2^(2^40) and 3^(2^40), which the pattern check once built, are never
+    # computed, while zeta^(2^40) is cheap
+    out = _run_limited(["verify", "cyclotomic", "--ell", "5", "--d", "2",
+                        "--tail", "2,3", "--max-iter", "40"])
+    assert out.returncode == 0, out.stderr
+    checks = json.loads(out.stdout)["checks"]
+    assert [c["name"] for c in checks] == ["membership_pattern", "superspanned_hyperplanes"]
+    assert all(c["pass"] is True for c in checks)
 
 
 def test_verify_lemmas(capsys):

@@ -285,10 +285,17 @@ def test_kernel_matches_fraction_reference(case, e):
 @PROPERTY
 @given(kernel_cases())
 def test_equal_values_hash_alike(case):
-    K, ca, cb, _ = case
+    K, ca, cb, q = case
     a, b = field.FieldValue(K, ca), field.FieldValue(K, cb)
     assert (a == b) == (ca == cb)
     # one value reached along different paths
     for x, y in [(a * b, b * a), ((a + b) - b, a), (a * b + a, a * (b + 1)),
                  (field.FieldValue(K, (a * b).coeffs), a * b)]:
         assert x == y and hash(x) == hash(y)
+    # a rational value is interchangeable with the int or Fraction it
+    # equals, in sets and dicts, whatever the field
+    v, r = field.FieldValue(K, embed(K, q)), Fraction(q)
+    for x in [r] + ([r.numerator] if r.denominator == 1 else []):
+        assert v == x and hash(v) == hash(x)
+        assert x in {v} and v in {x} and {v: 1}[x] == {x: 1}[v] == 1
+        assert (a in {x}) == (a == x) == (a in {x: 1}) == (x in {a})

@@ -167,14 +167,86 @@ def test_membership_matches_rank(case):
 
 @pytest.mark.parametrize("m", [13, 50])
 def test_exact_orbit_budget(m):
-    # the message is checked_power's, and a refused index is not cached
+    # the message is checked_power's, and a refused index is in neither
+    # cache, whichever access refused it
     P = ProjPoint.rational([1, 2, -3])
     exact = ExactOrbit(P, 2, budget=4096)
-    with pytest.raises(ExponentBudgetExceeded) as got:
-        exact[m]
-    with pytest.raises(ExponentBudgetExceeded) as want:
-        checked_power(2, m, 4096)
-    assert str(got.value) == str(want.value)
-    assert m not in exact
+    L = linalg.span_canonical([P, iterate(P, 2, 1)])
+    for access in (lambda: exact[m], lambda: exact.power(2, m), lambda: exact.member(m, L)):
+        with pytest.raises(ExponentBudgetExceeded) as got:
+            access()
+        with pytest.raises(ExponentBudgetExceeded) as want:
+            checked_power(2, m, 4096)
+        assert str(got.value) == str(want.value)
+        assert m not in exact and not any(m in powers for powers in exact.powers)
     assert exact.rows([0, 12]) == [P.coords, iterate(P, 2, 12).coords]
     assert exact[12] is exact[12]
+    # a step from the cached power 12 is checked too
+    with pytest.raises(ExponentBudgetExceeded):
+        exact.power(1, 13)
+    assert 13 not in exact.powers[1]
+
+
+@st.composite
+def orbit_cases(draw):
+    """A point of P^n over Q, Q(zeta_5) or the sextic, a degree, subspaces
+    spanned by its iterates, by random rows and by nothing, and a run of
+    orbit accesses in random order, with repeats."""
+    K = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(2, 3))
+    entries = st.fractions(-3, 3, max_denominator=3) if K.degree == 1 else st.integers(-2, 2)
+    values = st.lists(entries, min_size=K.degree, max_size=K.degree).map(
+        lambda cs: field.FieldValue(K, cs))
+    rows = st.lists(values, min_size=n + 1, max_size=n + 1)
+    coords = draw(rows)
+    if all(v.is_zero() for v in coords):
+        coords[0] = K.one()
+    P = ProjPoint(K, coords)
+    indices = st.integers(0, 4)
+    spans = [linalg.Subspace(n, ())]
+    for ms in draw(st.lists(st.lists(indices, min_size=1, max_size=n), max_size=2)):
+        spans.append(linalg.span_canonical([iterate(P, d, m) for m in ms]))
+    for basis in draw(st.lists(st.lists(rows, min_size=1, max_size=n), max_size=2)):
+        spans.append(linalg.span_canonical(basis))
+    accesses = draw(st.lists(st.tuples(st.sampled_from(["point", "member", "power"]),
+                                       indices, st.integers(0, n + 1)), max_size=12))
+    return P, d, spans, accesses
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(orbit_cases())
+@example((ProjPoint.rational([1, 2, -3]), 2, [linalg.Subspace(2, ())],
+          [("power", 4, 1), ("power", 2, 1), ("point", 3, 0), ("point", 0, 0),
+           ("point", 3, 0), ("power", 4, 2)]))
+def test_exact_orbit_matches_iterate(case):
+    # the cache answers as iterate and subspace_membership do, and
+    # computes each (coordinate, index) power with exactly one **
+    P, d, spans, accesses = case
+    exact = ExactOrbit(P, d)
+    pow_calls = []
+    power = field.FieldValue.__pow__
+
+    def counting_pow(self, e):
+        pow_calls.append(e)
+        return power(self, e)
+
+    field.FieldValue.__pow__ = counting_pow
+    try:
+        got = [exact[m] if kind == "point"
+               else exact.power(k % (P.dim + 1), m) if kind == "power"
+               else exact.member(m, spans[k % len(spans)])
+               for kind, m, k in accesses]
+    finally:
+        field.FieldValue.__pow__ = power
+    assert len(pow_calls) == sum(len(powers) for powers in exact.powers)
+    for (kind, m, k), value in zip(accesses, got):
+        if kind == "point":
+            assert value == iterate(P, d, m) and value is exact[m]
+        elif kind == "power":
+            assert value == P.coords[k % (P.dim + 1)] ** d ** m
+        else:
+            assert value == subspace_membership(iterate(P, d, m), spans[k % len(spans)])
+    for j, powers in enumerate(exact.powers):
+        for m, value in powers.items():
+            assert value == P.coords[j] ** d ** m
