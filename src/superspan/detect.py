@@ -5,12 +5,16 @@ iterate indices up to a bound M, discards tuples whose iterate matrix is
 certified full-rank by the modular filter, confirms the survivors with
 exact super-rank checks, groups the confirmed tuples by the canonical
 form of their span, and counts how many orbit points up to M each
-resulting subspace contains.  The count reuses the filter's residue
-rows: an iterate is certified off a subspace L when its row raises the
-rank of L's basis reduced mod some filter prime, and only the remaining
-candidates are tested exactly.  Confirmation, grouping and the count
-share one ExactOrbit, which computes each coordinate power at most once;
-a tuple repeating an orbit point (r >= 2) needs no elimination.
+resulting subspace contains.  The modular filter keeps, per prime, the
+echelon basis of each tuple's first r rows and reuses it for every tuple
+of the same prefix, so a tuple mostly costs one row reduction mod p.
+The count reuses the filter's residue rows and its elimination kernel:
+L's basis is echeloned once per filter prime, an iterate is certified
+off L when its row leaves a nonzero residual against it, and only the
+remaining candidates are tested exactly.  Confirmation, grouping and
+the count share one ExactOrbit, which computes each coordinate power at
+most once; a tuple repeating an orbit point (r >= 2) needs no
+elimination.
 
 Finiteness of the set of such subspaces comes with no effective bound
 on the largest iterate index involved, so results are always reported
@@ -30,7 +34,8 @@ from typing import Iterator, List, Optional, Sequence
 from . import subsum
 from .errors import BadPrime, ExponentBudgetExceeded, Unsupported, ZeroCoordinate
 from .field import is_prime
-from .linalg import Subspace, _rank_mod_p, modular_rank_filter, span_canonical, super_rank
+from .linalg import (Subspace, echelon_mod_p, modular_rank_filter, residual_mod_p,
+                     span_canonical, super_rank)
 from .orbit import ExactOrbit, ModularOrbit, ProjPoint, checked_power
 
 DEFAULT_FILTER_PRIME_COUNT = 3
@@ -85,25 +90,28 @@ def intersection_count(P: ProjPoint, d: int, L: Subspace, max_iter: int,
                        exact: Optional[ExactOrbit] = None) -> int:
     """Number of iterate indices 0 <= m <= max_iter with the iterate on L.
 
-    With the run's orbit, iterate m is off L when its residue row raises
-    the rank of L's basis mod a usable prime, because the rank mod p never
-    exceeds the exact rank; a prime dividing a denominator of L is skipped
-    for this L.  Only the other iterates are materialized, from the run's
+    With the run's orbit, L's basis is mapped to F_p and echeloned once
+    per usable prime, and iterate m is off L when its residue row leaves
+    a nonzero residual against that echelon basis: the map to F_p is a
+    ring homomorphism, so it takes a point of L into the span of the
+    image of L's basis.  That basis is in RREF, so its image keeps all
+    L.rank pivots; a prime dividing a denominator of L is skipped for
+    this L.  Only the other iterates are materialized, from the run's
     exact orbit or else from a fresh one.
     """
     if exact is None:
         exact = ExactOrbit(P, d, budget)
-    reduced = {}  # usable prime -> L's basis mod p
+    reduced = {}  # usable prime -> echelon basis of L mod p
     for p in (orbit.roots if orbit is not None else ()):
         try:
-            reduced[p] = [[orbit.image(p, v) for v in row] for row in L.basis]
+            reduced[p] = echelon_mod_p([[orbit.image(p, v) for v in row] for row in L.basis], p)
         except BadPrime:
             pass
     count = 0
     for m in range(max_iter + 1):
         checked_power(d, m, budget)
-        if any(_rank_mod_p(rows + [orbit.row(p, m)], p) == L.rank + 1
-               for p, rows in reduced.items()):
+        if any(any(residual_mod_p(basis, orbit.row(p, m), p))
+               for p, basis in reduced.items()):
             continue
         if exact.member(m, L):
             count += 1

@@ -13,7 +13,9 @@ immutable, so values may be shared freely.
 Reduction modulo a machine-word prime feeds the fast rank filter:
 reduce_mod_prime maps a value into F_p[x]/(f mod p), root_mod_prime
 finds a root a of f mod p, and evaluating the reduction at a is a ring
-homomorphism to F_p, where powers are plain builtin pow calls.
+homomorphism to F_p, where powers are plain builtin pow calls.  Both
+read f mod p and its squarefree verdict from one cache, filled once per
+(minimal polynomial, prime).
 ModularResidue still carries its quotient-ring arithmetic, which the
 filter no longer uses.
 """
@@ -581,35 +583,40 @@ class ModularResidue:
         return self._pow_raw(e_red)
 
 
-def _min_poly_mod(ambient: FieldDesc, p: int) -> list:
+@lru_cache(maxsize=1024)
+def _min_poly_mod(min_poly: Optional[tuple], p: int) -> tuple:
+    """(f mod p, whether it is squarefree) for the minimal polynomial f,
+    computed once per (f, p); (None, True) for the rationals.
+
+    Raises BadPrime when p is not prime or divides a denominator of f."""
+    if p < 2 or not is_prime(p):
+        raise BadPrime(f"{p} is not prime")
+    if min_poly is None:
+        return None, True
     fmodp = []
-    for c in ambient.min_poly:
+    for c in min_poly:
         if c.denominator % p == 0:
             raise BadPrime(f"denominator of minimal polynomial collides with {p}")
         fmodp.append((c.numerator * pow(c.denominator % p, p - 2, p)) % p)
-    return fmodp
+    g, _ = modp.poly_xgcd(fmodp, modp.poly_deriv(fmodp, p), p)
+    return tuple(fmodp), len(g) == 1
 
 
 def reduce_mod_prime(a: FieldValue, p: int) -> ModularResidue:
     """Image of a in F_p[x]/(f mod p).
 
-    Raises BadPrime when p divides a denominator of a or of the minimal
-    polynomial, or when f mod p fails to be squarefree; the caller is
-    expected to retry with another prime.
+    Raises BadPrime when p is not prime, divides a denominator of the
+    minimal polynomial or of a, or when f mod p fails to be squarefree;
+    the caller is expected to retry with another prime.
     """
-    if p < 2 or not is_prime(p):
-        raise BadPrime(f"{p} is not prime")
+    fmodp, squarefree = _min_poly_mod(a.ambient.min_poly, p)
     if a.den % p == 0:
         raise BadPrime(f"denominator of coefficient collides with {p}")
     den_inv = pow(a.den, p - 2, p)
     coeffs = tuple(c * den_inv % p for c in a.num)
-    if a.ambient.min_poly is None:
-        return ModularResidue(p, coeffs, None)
-    fmodp = _min_poly_mod(a.ambient, p)
-    g, _ = modp.poly_xgcd(modp.poly_trim(list(fmodp)), modp.poly_deriv(fmodp, p), p)
-    if len(g) != 1:
+    if not squarefree:
         raise BadPrime(f"minimal polynomial is not squarefree mod {p}")
-    return ModularResidue(p, coeffs, tuple(fmodp))
+    return ModularResidue(p, coeffs, fmodp)
 
 
 def root_mod_prime(ambient: FieldDesc, p: int) -> Optional[int]:
@@ -621,9 +628,8 @@ def root_mod_prime(ambient: FieldDesc, p: int) -> Optional[int]:
     homomorphism to F_p.  Raises BadPrime when p is not prime or divides
     a denominator of the minimal polynomial.
     """
-    if p < 2 or not is_prime(p):
-        raise BadPrime(f"{p} is not prime")
-    if ambient.min_poly is None:
+    fmodp, _ = _min_poly_mod(ambient.min_poly, p)
+    if fmodp is None:
         return 0
-    roots = modp.poly_roots(_min_poly_mod(ambient, p), p)
+    roots = modp.poly_roots(fmodp, p)
     return roots[0] if roots else None

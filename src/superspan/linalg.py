@@ -13,7 +13,10 @@ homomorphism to F_p, so every minor maps to its image there, and a
 nonzero minor found by elimination on plain ints mod p proves a nonzero
 minor exactly.  Entries are v ** e with e = d^m mod (p-1), or p-1 when
 that is 0 so a zero entry stays zero (Fermat), which keeps the filter
-cost independent of the size of d^m.
+cost independent of the size of d^m.  One elimination kernel works mod
+p: echelon_mod_p builds an echelon basis row by row and residual_mod_p
+reduces a row against it, for the filter's prefix bases and for the
+subspaces of the intersection counts alike.
 """
 
 from __future__ import annotations
@@ -253,25 +256,33 @@ class FilterVerdict:
     diagnostics: dict = dc_field(default_factory=dict)
 
 
-def _rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Rank over F_p of a matrix of residues in 0..p-1."""
-    rows = [list(row) for row in rows]
-    rank_count = 0
-    for col in range(len(rows[0])):
-        pr = next((i for i in range(rank_count, len(rows)) if rows[i][col]), None)
-        if pr is None:
-            continue
-        rows[rank_count], rows[pr] = rows[pr], rows[rank_count]
-        pivot_row = rows[rank_count]
-        piv = pivot_row[col]
-        for i in range(rank_count + 1, len(rows)):
-            f = rows[i][col]
-            if f:
-                rows[i] = [(a * piv - f * b) % p for a, b in zip(rows[i], pivot_row)]
-        rank_count += 1
-        if rank_count == len(rows):
-            break
-    return rank_count
+def residual_mod_p(basis: Sequence[tuple], row: Sequence[int], p: int) -> list:
+    """row reduced mod p against an echelon basis: a list of residues,
+    all zero iff row lies in the span of the basis mod p.
+
+    basis holds (pivot column, row with 1 there) pairs, each row zero at
+    the pivot columns of the pairs before it, so one pass in order
+    clears every pivot column."""
+    row = list(row)
+    for col, b in basis:
+        f = row[col]
+        if f:
+            row = [(a - f * x) % p for a, x in zip(row, b)]
+    return row
+
+
+def echelon_mod_p(rows: Sequence[Sequence[int]], p: int, basis: tuple = ()) -> tuple:
+    """basis extended, in order, by each of rows that is independent of
+    it mod p; its length is then the rank mod p of the rows it holds.
+    The basis is a tuple of (pivot column, row scaled to pivot 1) pairs,
+    as residual_mod_p reads it, and is never modified in place."""
+    for row in rows:
+        res = residual_mod_p(basis, row, p)
+        col = next((j for j, v in enumerate(res) if v), None)
+        if col is not None:
+            inv = pow(res[col], -1, p)
+            basis += ((col, tuple(v * inv % p for v in res)),)
+    return basis
 
 
 def modular_rank_filter(orbit, m: Sequence[int], r: int) -> FilterVerdict:
@@ -281,7 +292,9 @@ def modular_rank_filter(orbit, m: Sequence[int], r: int) -> FilterVerdict:
     of row i of A_m under a ring homomorphism to F_p, so no large integer
     is ever formed.  Primes are tried in order; a full-rank verdict is
     exact, anything else is only 'candidate' and must be confirmed by
-    exact arithmetic.
+    exact arithmetic.  The rank mod p is the length of the orbit's
+    echelon basis of the first r rows, shared with every tuple of the
+    same prefix, plus one when the last row leaves a nonzero residual.
     """
     m = tuple(m)
     if len(m) != r + 1:
@@ -292,7 +305,8 @@ def modular_rank_filter(orbit, m: Sequence[int], r: int) -> FilterVerdict:
         if p in orbit.bad_primes:
             bad.append((p, orbit.bad_primes[p]))
             continue
-        ranks[p] = _rank_mod_p([orbit.row(p, mi) for mi in m], p)
+        basis = orbit.echelon(p, m[:-1])
+        ranks[p] = len(basis) + any(residual_mod_p(basis, orbit.row(p, m[-1]), p))
         if ranks[p] == r + 1:
             return FilterVerdict(True, p, {"ranks": ranks, "bad_primes": bad})
     return FilterVerdict(False, None, {"ranks": ranks, "bad_primes": bad})

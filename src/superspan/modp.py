@@ -18,21 +18,20 @@ def poly_mul(a, b, p):
     for i, c in enumerate(a):
         if c:
             for j, d in enumerate(b):
-                out[i + j] = (out[i + j] + c * d) % p
-    return poly_trim(out)
+                out[i + j] += c * d
+    return poly_trim([c % p for c in out])
 
 
 def poly_mod(a, f, p):
     # f monic mod p
     a = list(a)
     while len(a) >= len(f):
-        c = a[-1]
+        c = a.pop() % p
         if c:
-            shift = len(a) - len(f)
+            shift = len(a) - len(f) + 1
             for i in range(len(f) - 1):
-                a[shift + i] = (a[shift + i] - c * f[i]) % p
-        a.pop()
-    return poly_trim(a)
+                a[shift + i] -= c * f[i]
+    return poly_trim([c % p for c in a])
 
 
 def poly_divmod(a, b, p):
@@ -96,28 +95,35 @@ def poly_powmod(a, e, f, p):
 
 
 def poly_roots(f, p):
-    """The distinct roots in F_p of a monic f of positive degree.
+    """The distinct roots in F_p of a monic f of positive degree, sorted.
 
     g = gcd(x^p - x, f) is the product of the distinct linear factors of
     f, and Cantor-Zassenhaus splits it: gcd((x + delta)^((p-1)/2) - 1, h)
     is a proper factor of h for some delta in F_p (Cohen, A Course in
     Computational Algebraic Number Theory, 1.6 and 3.4).  delta runs
-    through 0, 1, 2, ... so the result does not depend on any random state.
+    through 0, 1, 2, ... so the result does not depend on any random
+    state.  Each round takes one power s, modulo the product of the
+    factors still pending, and splits every pending h by gcd(s - 1, h),
+    which is gcd((s mod h) - 1, h) since h divides that product.
     """
     g = poly_gcd(f, poly_sub(poly_powmod([0, 1], p, f, p), [0, 1], p), p)
     roots = []
     pending = [g]
-    while pending:
-        h = pending.pop()
-        if len(h) == 2:
-            roots.append(-h[0] % p)
-        elif len(h) > 2 and p == 2:
-            roots += [0, 1]  # h = x^2 + x
-        elif len(h) > 2:
-            for delta in range(p):
-                s = poly_sub(poly_powmod([delta, 1], (p - 1) // 2, h, p), [1], p)
-                k = poly_gcd(h, s, p)
-                if 1 < len(k) < len(h):
-                    pending += [k, poly_divmod(h, k, p)[0]]
-                    break
-    return sorted(roots)
+    delta = 0
+    while True:
+        roots += [-h[0] % p for h in pending if len(h) == 2]
+        pending = [h for h in pending if len(h) > 2]
+        if not pending:
+            return sorted(roots)
+        if p == 2:
+            return sorted(roots + [0, 1])  # the pending factor is x^2 + x
+        product = [1]
+        for h in pending:
+            product = poly_mul(product, h, p)
+        s = poly_powmod([delta, 1], (p - 1) // 2, product, p)
+        split = []
+        for h in pending:
+            k = poly_gcd(h, poly_sub(s, [1], p), p)
+            split += [k, poly_divmod(h, k, p)[0]] if 1 < len(k) < len(h) else [h]
+        pending = split
+        delta += 1

@@ -206,6 +206,14 @@ class ModularOrbit:
     taken as p-1 when it is 0, which keeps a zero image 0.
     Rows are computed lazily, once per (prime, iterate index).
 
+    echelon(p, prefix) serves the rank filter: each usable prime keeps a
+    chain of echelon bases mod p, of the rows m_0, then m_0 and m_1, and
+    so on.  A call keeps the part of the chain that agrees with its
+    prefix and extends it by the remaining rows, so lexicographically
+    consecutive tuples, which share their first r indices, eliminate
+    only their last row; the chain is checked against the indices, so
+    the result does not depend on the order of the calls.
+
     A prime is unusable for the point, and listed in bad_primes with a
     reason, when it divides a denominator, or when f mod p is not
     squarefree or has no root.
@@ -232,6 +240,7 @@ class ModularOrbit:
         self.bad_primes = {}   # unusable filter prime -> reason
         self._values = {}      # usable prime -> coordinate images v_j
         self._rows = {}        # (prime, iterate index) -> row of residues
+        self._chains = {}      # usable prime -> (indices, echelon basis of each prefix)
         if count is not None:
             primes = islice(primes, self.DRAWS_PER_PRIME * count * point.ambient.degree)
         reason = None
@@ -277,6 +286,20 @@ class ModularOrbit:
             e = pow(self.degree, m, p - 1) or p - 1
             row = self._rows[p, m] = tuple(pow(v, e, p) for v in self._values[p])
         return row
+
+    def echelon(self, p: int, prefix: tuple) -> tuple:
+        """The echelon basis mod the usable prime p (see
+        linalg.echelon_mod_p) of the rows of the iterates in prefix."""
+        indices, bases = self._chains.get(p, ((), [()]))
+        if indices != prefix:
+            k = 0
+            while k < len(indices) and k < len(prefix) and indices[k] == prefix[k]:
+                k += 1
+            bases = bases[:k + 1]  # bases[k]: the basis of the first k rows
+            for mi in prefix[k:]:
+                bases.append(linalg.echelon_mod_p([self.row(p, mi)], p, bases[-1]))
+            self._chains[p] = (prefix, bases)
+        return bases[-1]
 
 
 def subspace_membership(Q: ProjPoint, L: linalg.Subspace) -> bool:

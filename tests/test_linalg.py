@@ -113,8 +113,8 @@ def test_modular_rank_below_exact():
         exact = linalg.rank(qrows(data))
         for p in (2, 3, 1009):
             mod_rows = [[x % p for x in row] for row in data]
-            assert linalg._rank_mod_p(mod_rows, p) <= exact
-        assert linalg._rank_mod_p([[x % 1009 for x in row] for row in data], 1009) == exact
+            assert len(linalg.echelon_mod_p(mod_rows, p)) <= exact
+        assert len(linalg.echelon_mod_p([[x % 1009 for x in row] for row in data], 1009)) == exact
 
 
 def test_filter_never_certifies_true_exceptional():

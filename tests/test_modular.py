@@ -1,6 +1,7 @@
 """The modular kernel: roots of f mod p, the residue rows of ModularOrbit,
 and the soundness of the rank filter, over Q, Q(zeta_5) and the sextic."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import chain, repeat
 from math import log
@@ -8,8 +9,9 @@ from math import log
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
-from superspan import field, linalg
+from superspan import field, linalg, modp, orbit as orbit_module
 from superspan.constructions import sextic_field, sextic_point
+from superspan.detect import enumerate_exceptional
 from superspan.errors import AllPrimesBad, BadPrime
 from superspan.orbit import ModularOrbit, ProjPoint, iterate_matrix
 
@@ -111,10 +113,18 @@ def test_roots_match_brute_force():
 @example([0, -1, 0, 1], 3)       # x^3 - x splits completely into distinct roots
 @example([4, -4, 1], 7)          # (x - 2)^2, a repeated root
 @example([1, 2, 1], 2)           # (x + 1)^2 over F_2
+# complete splits, where one round splits several factors at once
+@example([1, 1, 1, 1, 1], 11)    # Phi_5: 5 | p - 1, four roots
+@example([1, 1, 1, 1, 1], 31)
+@example([1, 1, 1, 1, 1], 41)
+@example([-1, 0, 0, 0, 0, 0, 1], 7)    # x^6 - 1: 6 | p - 1, six roots
+@example([-1, 0, 0, 0, 0, 0, 1], 13)
+@example([720, -1764, 1624, -735, 175, -21, 1], 101)  # (x - 1)(x - 2)...(x - 6)
 def test_roots_of_random_polynomials(coeffs, p):
     K = field.number_field(coeffs)
     f = poly_mod(K, p)
     roots = [x for x in range(p) if evaluate(f, x, p) == 0]
+    assert modp.poly_roots(f, p) == roots
     assert field.root_mod_prime(K, p) == (roots[0] if roots else None)
 
 
@@ -185,6 +195,79 @@ def test_filter_never_certifies_rank_deficient(case):
         assert exact == r + 1
         assert verdict.diagnostics["ranks"][verdict.prime] == r + 1
     assert all(rank <= exact for rank in verdict.diagnostics["ranks"].values())
+
+
+@st.composite
+def filter_call_sequences(draw):
+    """(point, d, r, primes, tuples): increasing (r+1)-tuples in random
+    order, with repeats and tuples that share a prefix with another."""
+    P, d, m, r, primes = draw(orbit_cases(rank_cases=True))
+    cap = next(cap for specials, _, cap in FIELDS.values()
+               if specials[0].ambient == P.ambient)
+    top = max_index(d, cap)
+    tuples = [m]
+    for _ in range(draw(st.integers(1, 8))):
+        base = draw(st.sampled_from(tuples))
+        keep = draw(st.integers(0, r + 1))  # r + 1 repeats base
+        free = range(base[keep - 1] + 1 if keep else 0, top + 1)
+        if keep <= r and len(free) >= r + 1 - keep:
+            rest = draw(st.lists(st.sampled_from(free), min_size=r + 1 - keep,
+                                 max_size=r + 1 - keep, unique=True))
+            base = base[:keep] + tuple(sorted(rest))
+        tuples.append(base)
+    return P, d, r, primes, draw(st.permutations(tuples))
+
+
+@PROPERTY
+@given(filter_call_sequences())
+# iterates 0 and 4 agree mod every prime, so the prefix (0, 4) drops rank
+@example((ProjPoint(C5, [1, ZETA, ZETA ** 2]), 2, 2, [11, 31],
+          [(0, 4, 8), (0, 1, 2), (0, 4, 5), (0, 1, 4), (0, 4, 8), (0, 1, 2), (1, 5, 9)]))
+@example((ProjPoint(C5, [1, ZETA, 2, 3]), 2, 3, [11, 10061],
+          [(0, 4, 8, 9), (0, 1, 2, 3), (0, 4, 8, 9), (0, 4, 5, 6), (1, 2, 3, 4)]))
+# p - 1 | d^m: every iterate m >= 1 maps to a row of ones and zeros
+@example((ProjPoint(C5, [1, ZETA, 2]), 10, 2, [11], [(1, 2, 3), (0, 1, 2), (0, 1, 3), (1, 2, 3)]))
+@example((ProjPoint.rational([1, 97, 2]), 6, 2, [97, 13], [(0, 1, 5), (0, 4, 5), (0, 1, 5), (1, 2, 5)]))
+@example((sextic_point(), 2, 2, [2, 3, 257], [(0, 1, 8), (0, 2, 8), (0, 1, 8), (1, 2, 8)]))
+@example((sextic_point(), 10, 1, [101], [(1, 2), (0, 1), (1, 2), (0, 2)]))
+def test_filter_verdicts_do_not_depend_on_call_order(case):
+    P, d, r, primes, tuples = case
+    try:
+        orbit = ModularOrbit(P, d, primes)
+    except AllPrimesBad:
+        return
+    for m in tuples:
+        verdict = linalg.modular_rank_filter(orbit, m, r)
+        assert verdict == linalg.modular_rank_filter(ModularOrbit(P, d, primes), m, r)
+        event("certified" if verdict.certified else "candidate")
+        if any(rank < len(m) - 1 for rank in verdict.diagnostics["ranks"].values()):
+            event("a prefix drops rank mod p")
+
+
+@pytest.mark.parametrize("P, r, reductions", [
+    (sextic_point(), 2, 45),                  # 3 primes x 3 coordinates x (1 + two lines of rank 2)
+    (ProjPoint(C5, [1, ZETA, 2, 3]), 3, 12),  # 3 primes x 4 coordinates, no subspace
+])
+def test_f_is_reduced_once_per_prime(monkeypatch, P, r, reductions):
+    drawn, squarefree_checks, reduced = [], [], []
+    root_mod_prime, reduce_mod_prime = orbit_module.root_mod_prime, orbit_module.reduce_mod_prime
+    poly_deriv = modp.poly_deriv
+    monkeypatch.setattr(orbit_module, "root_mod_prime",
+                        lambda K, p: drawn.append(p) or root_mod_prime(K, p))
+    monkeypatch.setattr(orbit_module, "reduce_mod_prime",
+                        lambda v, p: reduced.append(p) or reduce_mod_prime(v, p))
+    monkeypatch.setattr(modp, "poly_deriv",
+                        lambda f, p: squarefree_checks.append(p) or poly_deriv(f, p))
+    field._min_poly_mod.cache_clear()
+    report = enumerate_exceptional(P, 2, r, 6)
+    assert set(squarefree_checks) <= set(drawn)
+    assert max(Counter(squarefree_checks).values()) == 1
+    # reduce_mod_prime is called once per reduced value: each coordinate,
+    # and each entry of each subspace's basis, once per usable prime
+    primes = report.diagnostics["primes"]
+    assert len(reduced) == reductions == len(primes) * len(P.coords) * (
+        1 + sum(rec.subspace.rank for rec in report.subspaces))
+    assert set(reduced) == set(primes)
 
 
 def test_bad_prime_reasons():
