@@ -25,7 +25,6 @@ from .field import (
     FieldValue,
     ModularResidue,
     cyclotomic_field,
-    make_field,
     monicize,
     number_field,
     rational_field,
@@ -41,7 +40,7 @@ from .linalg import (
     span_canonical,
     super_rank,
 )
-from .mpoly import MPoly, divide_exact, mpoly_equal, mpoly_product, sym_det
+from .mpoly import MPoly, divide_exact, mpoly_product, sym_det
 from .oracles import OracleResult, power_diff_classify, vanishing_subsum_bruteforce
 from .orbit import (
     DEFAULT_EXPONENT_BUDGET,

@@ -44,15 +44,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_point_args(p):
-        p.add_argument("--point", help="JSON array of coordinates")
-        p.add_argument("--point-file", help="path to a point JSON document")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--point", help="JSON array of coordinates")
+        source.add_argument("--point-file",
+                            help="path to a JSON coordinate array or point document")
         p.add_argument("--field", default="rational",
-                       help="rational | cyclotomic:ELL | numberfield:c0,c1,...")
+                       help="for coordinate arrays: rational | cyclotomic:ELL | "
+                            "numberfield:c0,c1,...")
 
-    def add_common(p):
-        p.add_argument("--budget", type=int, default=None,
-                       help="exponent budget for exact materialization")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+    def add_common(p, budget=True):
+        if budget:
+            p.add_argument("--budget", type=int, default=None,
+                           help="exponent budget for exact materialization")
         p.add_argument("--out", help="output path (default stdout)")
 
     p = sub.add_parser("detect", help="enumerate super-spanned subspaces")
@@ -63,11 +66,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--primes", type=int, default=detect.DEFAULT_FILTER_PRIME_COUNT,
                    help="number of filter primes (0 disables the filter)")
     p.add_argument("--seed", type=int, default=detect.DEFAULT_SEED)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     add_common(p)
 
     p = sub.add_parser("relations", help="multiplicative relation lattice")
     add_point_args(p)
-    add_common(p)
+    add_common(p, budget=False)
 
     p = sub.add_parser("verify", help="run a worked-example verifier")
     p.add_argument("target", choices=("sextic", "cyclotomic", "quadric", "lemmas"))
@@ -91,12 +95,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_point(args):
-    if getattr(args, "point_file", None):
+    # a coordinate array is read in --field; a point document names its own
+    ambient = jsonio.parse_field_spec(args.field)
+    if args.point_file:
         with open(args.point_file) as fh:
-            doc = json.load(fh)
-        return jsonio.decode_point(doc)
-    if getattr(args, "point", None):
-        ambient = jsonio.parse_field_spec(args.field)
+            return jsonio.decode_point(json.load(fh), ambient)
+    if args.point:
         return jsonio.decode_point(json.loads(args.point), ambient)
     raise ValueError("a point is required (--point or --point-file)")
 
@@ -112,7 +116,7 @@ def _resolve_budget(args) -> int:
 
 
 def _emit(args, document: dict, csv_rows=None) -> None:
-    if args.format == "csv" and csv_rows is not None:
+    if csv_rows is not None and args.format == "csv":
         header, rows = csv_rows
         text = ",".join(header) + "\n"
         for row in rows:

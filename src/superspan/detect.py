@@ -162,19 +162,15 @@ def enumerate_exceptional(P: ProjPoint, d: int, r: int, max_iter: int,
         except ExponentBudgetExceeded as exc:
             skipped.append({"tuple": list(m), "reason": str(exc)})
 
+    # confirmed tuples arrive in lexicographic order, so the groups'
+    # insertion order is the order of their least preimage tuples
     groups = {}
-    order = []
     for m in confirmed:
         L = span_canonical(exact.rows(m))
-        key = L.key()
-        if key not in groups:
-            groups[key] = (L, [])
-            order.append(key)
-        groups[key][1].append(m)
+        groups.setdefault(L.key(), (L, []))[1].append(m)
 
     records = []
-    for key in order:
-        L, preimage = groups[key]
+    for key, (L, preimage) in groups.items():
         try:
             hits = intersection_count(P, d, L, max_iter, budget, orbit, exact)
         except ExponentBudgetExceeded as exc:
@@ -184,7 +180,6 @@ def enumerate_exceptional(P: ProjPoint, d: int, r: int, max_iter: int,
                                          for row in key],
                             "reason": str(exc)})
         records.append(SubspaceRecord(L, tuple(preimage), hits))
-    records.sort(key=lambda rec: rec.preimage[0])
 
     diagnostics = {
         "tuples_total": comb(max_iter + 1, r + 1),

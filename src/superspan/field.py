@@ -250,22 +250,6 @@ def number_field(min_poly: Sequence[Rat]) -> FieldDesc:
     return FieldDesc(NUMBER_FIELD, tuple(coeffs), len(coeffs) - 1)
 
 
-def make_field(kind: str, *, min_poly: Optional[Sequence[Rat]] = None,
-               ell: Optional[int] = None) -> FieldDesc:
-    """Validated field construction from a structured description."""
-    if kind == RATIONAL:
-        return rational_field()
-    if kind == CYCLOTOMIC:
-        if ell is None:
-            raise NonPrimeCyclotomicOrder("cyclotomic field needs an order")
-        return cyclotomic_field(ell)
-    if kind == NUMBER_FIELD:
-        if min_poly is None:
-            raise ZeroDegree("number field needs a minimal polynomial")
-        return number_field(min_poly)
-    raise ValueError(f"unknown field kind {kind!r}")
-
-
 def monicize(coeffs: Sequence[Rat]) -> list:
     """Divide a polynomial by its leading coefficient (rational output)."""
     c = [Fraction(x) for x in coeffs]

@@ -14,9 +14,15 @@ from typing import Optional
 
 from .detect import ExceptionalReport
 from .errors import SuperspanError
-from .field import CYCLOTOMIC, NUMBER_FIELD, RATIONAL, FieldDesc, FieldValue, make_field
-from .linalg import Subspace
-from .mpoly import MPoly
+from .field import (
+    CYCLOTOMIC,
+    RATIONAL,
+    FieldDesc,
+    FieldValue,
+    cyclotomic_field,
+    number_field,
+    rational_field,
+)
 from .orbit import ProjPoint
 from .relations import RelLattice
 from .subsum import TermPartition, TermVector
@@ -55,22 +61,22 @@ def _get(obj, key: str):
 def decode_field(obj: dict) -> FieldDesc:
     kind = _get(obj, "kind")
     if kind == "rational":
-        return make_field(RATIONAL)
+        return rational_field()
     if kind == "cyclotomic":
-        return make_field(CYCLOTOMIC, ell=int(_get(obj, "ell")))
-    return make_field(NUMBER_FIELD,
-                      min_poly=[decode_rational(c) for c in _get(obj, "min_poly")])
+        return cyclotomic_field(int(_get(obj, "ell")))
+    if kind == "number_field":
+        return number_field([decode_rational(c) for c in _get(obj, "min_poly")])
+    raise SuperspanError(f"unknown field kind {kind!r}")
 
 
 def parse_field_spec(spec: str) -> FieldDesc:
     """CLI shorthand: rational | cyclotomic:ELL | numberfield:c0,c1,..."""
     if spec == "rational":
-        return make_field(RATIONAL)
+        return rational_field()
     if spec.startswith("cyclotomic:"):
-        return make_field(CYCLOTOMIC, ell=int(spec.split(":", 1)[1]))
+        return cyclotomic_field(int(spec.split(":", 1)[1]))
     if spec.startswith("numberfield:"):
-        coeffs = [decode_rational(c) for c in spec.split(":", 1)[1].split(",")]
-        return make_field(NUMBER_FIELD, min_poly=coeffs)
+        return number_field([decode_rational(c) for c in spec.split(":", 1)[1].split(",")])
     raise ValueError(f"unknown field spec {spec!r}")
 
 
@@ -88,7 +94,7 @@ def decode_point(obj, ambient: Optional[FieldDesc] = None) -> ProjPoint:
     else:
         coords = obj
     if ambient is None:
-        ambient = make_field(RATIONAL)
+        ambient = rational_field()
     values = []
     for c in coords:
         if isinstance(c, list):
@@ -98,25 +104,8 @@ def decode_point(obj, ambient: Optional[FieldDesc] = None) -> ProjPoint:
     return ProjPoint(ambient, values)
 
 
-def encode_subspace(L: Subspace) -> dict:
-    return {"n": L.ambient_dim,
-            "basis": [[encode_value(v) for v in row] for row in L.basis]}
-
-
 def encode_lattice(L: RelLattice) -> dict:
     return {"rank": L.rank, "basis": [list(v) for v in L.basis]}
-
-
-def encode_mpoly(poly: MPoly) -> dict:
-    terms = [{"exponents": list(e), "coeff": encode_rational(c)}
-             for e, c in sorted(poly.terms.items())]
-    return {"variables": list(poly.variables), "terms": terms}
-
-
-def decode_mpoly(obj: dict) -> MPoly:
-    terms = {tuple(t["exponents"]): decode_rational(t["coeff"])
-             for t in obj["terms"]}
-    return MPoly(obj["variables"], terms)
 
 
 def encode_partition(part: TermPartition) -> dict:

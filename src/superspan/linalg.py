@@ -208,7 +208,7 @@ def span_canonical(points) -> Subspace:
     return Subspace(n, tuple(tuple(row) for row in basis))
 
 
-def super_rank(rows, expected_r: Optional[int] = None) -> bool:
+def super_rank(rows) -> bool:
     """True iff the (r+1)-row matrix A has rank r and every r-row submatrix
     also has rank r (the matrix analogue of super-spanning).
 
@@ -219,8 +219,6 @@ def super_rank(rows, expected_r: Optional[int] = None) -> bool:
     is nonzero."""
     rows = _coerce_rows(rows)
     r = len(rows) - 1
-    if expected_r is not None and expected_r != r:
-        raise ShapeMismatch(f"matrix has {r + 1} rows; expected r = {expected_r}")
     ncols = len(rows[0]) if rows else 0
     if r < 0 or ncols < len(rows):
         raise ShapeMismatch("need r+1 rows and at least r+1 columns")

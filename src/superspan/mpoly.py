@@ -142,10 +142,6 @@ def mpoly_product(factors: Sequence[MPoly], variables=None) -> MPoly:
     return out
 
 
-def mpoly_equal(a: MPoly, b: MPoly) -> bool:
-    return a == b
-
-
 def divide_exact(numerator: MPoly, divisor: MPoly) -> MPoly:
     """Exact quotient numerator / divisor; raises NotDivisible on a
     nonzero remainder.  Only exactly divisible inputs are supported."""

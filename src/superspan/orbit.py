@@ -174,15 +174,8 @@ class IterMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("IterMatrix is immutable")
 
-    @property
-    def shape(self):
-        return (len(self.tuple), len(self.point.coords))
-
     def rows(self):
         return [list(row) for row in self._orbit.rows(self.tuple)]
-
-    def row_point(self, i: int) -> ProjPoint:
-        return self._orbit[self.tuple[i]]
 
 
 def iterate_matrix(P: ProjPoint, d: int, m: Sequence[int],

@@ -1,5 +1,6 @@
 import json
 import resource
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -111,6 +112,58 @@ def test_point_file_round_trip(tmp_path, capsys):
                            "--d", "2", "--r", "2", "--max-iter", "3")
     assert code == 0
     assert json.loads(out)["tuples"] == [[0, 1, 2]]
+
+
+def test_point_file_array_reads_field(tmp_path, capsys):
+    # a bare coordinate array in a file is read in --field, as with --point
+    coords = '[["1"],["0","1"],["0","0","1"]]'
+    path = tmp_path / "point.json"
+    path.write_text(coords)
+    code, from_file, err = run_cli(capsys, "relations", "--field", "cyclotomic:5",
+                                   "--point-file", str(path))
+    assert code == 0, err
+    code, inline, _ = run_cli(capsys, "relations", "--field", "cyclotomic:5",
+                              "--point", coords)
+    assert code == 0
+    assert from_file == inline
+
+
+def test_point_file_unknown_field_kind(tmp_path, capsys):
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"field": {"kind": "cyclotomc", "ell": 5},
+                                "coords": [["1"], ["2"], ["3"]]}))
+    code, _, err = run_cli(capsys, "relations", "--point-file", str(path))
+    assert code == 2
+    assert "unknown field kind 'cyclotomc'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["relations", "--point", "[1,2,3,6]", "--budget", "4096"],
+    ["relations", "--point", "[1,2,3,6]", "--format", "json"],
+    ["verify", "sextic", "--format", "json"],
+    ["analyze", "--point", "[1,2,-3]", "--d", "2", "--m", "0,1,2", "--format", "csv"],
+    ["detect", "--point", "[1,2,-3]", "--point-file", "point.json",
+     "--d", "2", "--r", "2", "--max-iter", "3"],
+])
+def test_options_a_command_does_not_take(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "point.json").write_text("[1,2,-3]")  # a readable point file
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+
+
+def test_readme_commands_run(capsys):
+    # every superspan line of the sh block under "## Command line", with
+    # continuation lines joined, so a removed flag cannot linger there
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("superspan ")]
+    assert len(commands) == 9
+    for argv in commands:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
 
 
 def test_relations_examples(capsys):

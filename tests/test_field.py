@@ -24,21 +24,21 @@ SEXTIC = [1, 3, Fraction(5, 2), 0, Fraction(5, 2), 3, 1]
 
 
 def test_make_rational():
-    f = field.make_field("rational")
+    f = field.rational_field()
     assert f.kind == "rational"
     assert f.degree == 1
     assert f.min_poly is None
 
 
 def test_make_cyclotomic_5():
-    f = field.make_field("cyclotomic", ell=5)
+    f = field.cyclotomic_field(5)
     assert f.degree == 4
     assert f.min_poly == tuple(Fraction(1) for _ in range(5))
     assert f.cyclotomic_order == 5
 
 
 def test_make_number_field_sextic():
-    f = field.make_field("number_field", min_poly=SEXTIC)
+    f = field.number_field(SEXTIC)
     assert f.degree == 6
     assert f.min_poly[-1] == 1
 

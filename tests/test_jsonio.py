@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from superspan import field, jsonio, linalg
-from superspan.mpoly import MPoly
+from superspan import field, jsonio
 from superspan.orbit import ProjPoint
 
 
@@ -47,22 +46,6 @@ def test_point_round_trip():
 def test_point_bare_array():
     P = jsonio.decode_point([1, "2", "-3"])
     assert P == ProjPoint.rational([1, 2, -3])
-
-
-def test_subspace_json_shape():
-    L = linalg.span_canonical([ProjPoint.rational([1, 2, -3]),
-                               ProjPoint.rational([1, 4, 9])])
-    doc = jsonio.encode_subspace(L)
-    assert doc["n"] == 2
-    assert len(doc["basis"]) == 2
-    json.dumps(doc)  # serializable
-
-
-def test_mpoly_round_trip():
-    p = MPoly(("a", "b"), {(2, 0): Fraction(1), (0, 1): Fraction(-7, 3)})
-    doc = jsonio.encode_mpoly(p)
-    assert {"exponents": [0, 1], "coeff": "-7/3"} in doc["terms"]
-    assert jsonio.decode_mpoly(doc) == p
 
 
 def test_report_schema():

@@ -58,8 +58,6 @@ def test_super_rank_examples():
 def test_super_rank_shape_checks():
     with pytest.raises(ShapeMismatch):
         linalg.super_rank(qrows([[1, 2], [3, 4], [5, 6]]))  # 3 rows, 2 cols
-    with pytest.raises(ShapeMismatch):
-        linalg.super_rank(qrows([[1, 2, 3], [1, 4, 9], [1, 16, 81]]), expected_r=1)
 
 
 def test_span_canonical_unit_rows():
@@ -167,17 +165,18 @@ def _naive_fraction_rank(data):
     return rank_count
 
 
-def _naive_det(data):
-    # independent oracle: permutation expansion
+def _naive_det(data, one=Fraction(1)):
+    # independent oracle: permutation expansion, over Fractions or over
+    # the field values of one ambient (pass its one)
     from itertools import permutations
     n = len(data)
-    total = Fraction(0)
+    total = one - one
     for sigma in permutations(range(n)):
         inv = sum(1 for i in range(n) for j in range(i + 1, n) if sigma[i] > sigma[j])
-        prod = Fraction(-1 if inv % 2 else 1)
+        prod = -one if inv % 2 else one
         for i in range(n):
-            prod *= Fraction(data[i][sigma[i]])
-        total += prod
+            prod = prod * data[i][sigma[i]]
+        total = total + prod
     return total
 
 
@@ -200,6 +199,17 @@ def test_det_against_permutation_expansion():
         data = [[Fraction(rng.randint(-5, 5), rng.randint(1, 2))
                  for _ in range(n)] for _ in range(n)]
         assert linalg.det(qrows(data)).as_rational() == _naive_det(data)
+    # non-rational entries take the pivot-product times swap-sign path;
+    # zero entries force row swaps
+    for K in (C5, K6):
+        for _ in range(15):
+            n = rng.randint(1, 4)
+            rows = [[K.zero() if rng.random() < 0.4 else
+                     K.element([rng.randint(-2, 2) for _ in range(K.degree)])
+                     for _ in range(n)] for _ in range(n)]
+            if n >= 2 and rng.random() < 0.25:
+                rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]  # singular
+            assert linalg.det(rows) == _naive_det(rows, K.one())
 
 
 # ----------------------------------------------------------------------

@@ -110,7 +110,7 @@ def test_rows_match_iterates():
     P = ProjPoint.rational([1, 2, -3])
     A = iterate_matrix(P, 2, (0, 2, 3))
     for i in range(3):
-        assert A.row_point(i) == iterate(P, 2, A.tuple[i])
+        assert A.rows()[i] == list(iterate(P, 2, A.tuple[i]).coords)
 
 
 def test_membership_on_line():
