@@ -17,7 +17,6 @@ from .detect import (
     ExceptionalReport,
     SubspaceRecord,
     enumerate_exceptional,
-    filter_primes,
     intersection_count,
 )
 from .field import (
@@ -53,7 +52,6 @@ from .orbit import (
 )
 from .relations import (
     RelLattice,
-    coordinate_slice,
     exponent_matrix,
     lattice_contains,
     lattice_reduce,

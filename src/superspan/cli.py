@@ -139,10 +139,7 @@ def _cmd_detect(args) -> int:
         raise ValueError("--max-iter must be at least r")
     report = detect.enumerate_exceptional(
         P, args.d, args.r, args.max_iter,
-        use_filter=args.primes > 0,
-        prime_count=max(args.primes, 1),
-        seed=args.seed,
-        budget=budget)
+        prime_count=args.primes, seed=args.seed, budget=budget)
     doc = jsonio.encode_report(report)
     csv_rows = (
         ["subspace", "dim_projective", "basis", "preimage", "intersection_count"],
@@ -172,6 +169,12 @@ def _cmd_relations(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # every flag given is validated, also where the target does not read it
+    budget = _resolve_budget(args)
+    jsonio.parse_field_spec(args.field)
+    P = None
+    if args.point or args.point_file or args.target == "quadric":
+        P = _load_point(args)
     if args.target == "sextic":
         report = constructions.verify_sextic_example()
         _emit(args, report)
@@ -179,12 +182,10 @@ def _cmd_verify(args) -> int:
     if args.target == "cyclotomic":
         tail = [Fraction(t) for t in args.tail.split(",")] if args.tail else []
         report = constructions.verify_cyclotomic_family(
-            args.d if args.d is not None else 2, args.ell, tail, args.max_iter,
-            _resolve_budget(args))
+            args.d if args.d is not None else 2, args.ell, tail, args.max_iter, budget)
         _emit(args, report)
         return EXIT_OK if all(c["pass"] for c in report["checks"]) else EXIT_CHECK_FAILED
     if args.target == "quadric":
-        P = _load_point(args)
         report = constructions.quadric_case_probe(
             P, args.d if args.d is not None else 2, args.bound)
         _emit(args, report)

@@ -27,16 +27,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations, islice
+from itertools import combinations
 from math import comb
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional
 
 from . import subsum
 from .errors import BadPrime, ExponentBudgetExceeded, Unsupported, ZeroCoordinate
 from .field import is_prime
 from .linalg import (Subspace, echelon_mod_p, modular_rank_filter, residual_mod_p,
                      span_canonical, super_rank)
-from .orbit import ExactOrbit, ModularOrbit, ProjPoint, checked_power
+from .orbit import ExactOrbit, ModularOrbit, ProjPoint
 
 DEFAULT_FILTER_PRIME_COUNT = 3
 DEFAULT_SEED = 0
@@ -51,12 +51,6 @@ def _prime_stream(seed: int) -> Iterator[int]:
         if is_prime(candidate) and candidate not in seen:
             seen.add(candidate)
             yield candidate
-
-
-def filter_primes(count: int = DEFAULT_FILTER_PRIME_COUNT,
-                  seed: int = DEFAULT_SEED) -> List[int]:
-    """Deterministic pseudo-random 30-bit primes for the modular filter."""
-    return list(islice(_prime_stream(seed), count))
 
 
 @dataclass(frozen=True)
@@ -91,25 +85,26 @@ def intersection_count(P: ProjPoint, d: int, L: Subspace, max_iter: int,
     """Number of iterate indices 0 <= m <= max_iter with the iterate on L.
 
     With the run's orbit, L's basis is mapped to F_p and echeloned once
-    per usable prime, and iterate m is off L when its residue row leaves
+    per filter prime, and iterate m is off L when its residue row leaves
     a nonzero residual against that echelon basis: the map to F_p is a
     ring homomorphism, so it takes a point of L into the span of the
     image of L's basis.  That basis is in RREF, so its image keeps all
     L.rank pivots; a prime dividing a denominator of L is skipped for
     this L.  Only the other iterates are materialized, from the run's
-    exact orbit or else from a fresh one.
+    exact orbit or else from a fresh one, so the exponent budget limits
+    only them: ExponentBudgetExceeded means that an iterate past the
+    budget could not be certified off L.
     """
     if exact is None:
         exact = ExactOrbit(P, d, budget)
     reduced = {}  # usable prime -> echelon basis of L mod p
-    for p in (orbit.roots if orbit is not None else ()):
+    for p in (orbit.primes if orbit is not None else ()):
         try:
             reduced[p] = echelon_mod_p([[orbit.image(p, v) for v in row] for row in L.basis], p)
         except BadPrime:
             pass
     count = 0
     for m in range(max_iter + 1):
-        checked_power(d, m, budget)
         if any(any(residual_mod_p(basis, orbit.row(p, m), p))
                for p, basis in reduced.items()):
             continue
@@ -119,16 +114,15 @@ def intersection_count(P: ProjPoint, d: int, L: Subspace, max_iter: int,
 
 
 def enumerate_exceptional(P: ProjPoint, d: int, r: int, max_iter: int,
-                          use_filter: bool = True,
-                          primes: Optional[Sequence[int]] = None,
                           prime_count: int = DEFAULT_FILTER_PRIME_COUNT,
                           seed: int = DEFAULT_SEED,
                           budget: Optional[int] = None) -> ExceptionalReport:
     """Detect every subspace super-spanned by iterates with indices <= M.
 
-    The filter uses the given primes, the unusable ones included, or
-    else the first prime_count primes of the seeded stream that are
-    usable for P (see ModularOrbit).
+    The filter uses the first prime_count primes of the seeded stream
+    that are usable for P (see ModularOrbit).  prime_count 0 turns the
+    filter off: every tuple is checked exactly, the reference run the
+    filtered runs must agree with.
     """
     n = P.dim
     if r == 0:
@@ -139,10 +133,9 @@ def enumerate_exceptional(P: ProjPoint, d: int, r: int, max_iter: int,
         raise ZeroCoordinate("detection needs all coordinates nonzero")
     if max_iter < r:
         raise ValueError(f"iterate bound {max_iter} cannot host an (r+1)-tuple")
-    orbit = None
-    if use_filter:
-        orbit = (ModularOrbit(P, d, primes) if primes is not None
-                 else ModularOrbit(P, d, _prime_stream(seed), prime_count))
+    if prime_count < 0:
+        raise ValueError(f"filter prime count {prime_count} is negative")
+    orbit = ModularOrbit(P, d, _prime_stream(seed), prime_count) if prime_count else None
     exact = ExactOrbit(P, d, budget)
 
     confirmed: List[tuple] = []
@@ -150,11 +143,9 @@ def enumerate_exceptional(P: ProjPoint, d: int, r: int, max_iter: int,
     filtered_out = 0
     exact_checked = 0
     for m in combinations(range(max_iter + 1), r + 1):
-        if use_filter:
-            verdict = modular_rank_filter(orbit, m, r)
-            if verdict.certified:
-                filtered_out += 1
-                continue
+        if orbit is not None and modular_rank_filter(orbit, m, r).certified:
+            filtered_out += 1
+            continue
         exact_checked += 1
         try:
             if super_rank(exact.rows(m)):
@@ -187,8 +178,8 @@ def enumerate_exceptional(P: ProjPoint, d: int, r: int, max_iter: int,
         "exact_checked": exact_checked,
         "confirmed": len(confirmed),
         "skipped": skipped,
-        "filter_enabled": use_filter,
-        "primes": list(orbit.primes) if use_filter else [],
+        "filter_enabled": orbit is not None,
+        "primes": orbit.primes if orbit is not None else [],
         # the heuristic count of subspaces a generic point can be made to
         # produce; informational only
         "generic_expectation": n // (n - r + 1),

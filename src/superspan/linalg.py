@@ -288,23 +288,20 @@ def modular_rank_filter(orbit, m: Sequence[int], r: int) -> FilterVerdict:
 
     orbit is the run's ModularOrbit: its row for (p, m_i) is the image
     of row i of A_m under a ring homomorphism to F_p, so no large integer
-    is ever formed.  Primes are tried in order; a full-rank verdict is
-    exact, anything else is only 'candidate' and must be confirmed by
-    exact arithmetic.  The rank mod p is the length of the orbit's
-    echelon basis of the first r rows, shared with every tuple of the
-    same prefix, plus one when the last row leaves a nonzero residual.
+    is ever formed.  The orbit's primes, all usable, are tried in order;
+    a full-rank verdict is exact, anything else is only 'candidate' and
+    must be confirmed by exact arithmetic.  The rank mod p is the length
+    of the orbit's echelon basis of the first r rows, shared with every
+    tuple of the same prefix, plus one when the last row leaves a
+    nonzero residual.  The diagnostics hold the rank at each prime tried.
     """
     m = tuple(m)
     if len(m) != r + 1:
         raise ShapeMismatch(f"tuple length {len(m)} does not match r = {r}")
-    bad = []
     ranks = {}
     for p in orbit.primes:
-        if p in orbit.bad_primes:
-            bad.append((p, orbit.bad_primes[p]))
-            continue
         basis = orbit.echelon(p, m[:-1])
         ranks[p] = len(basis) + any(residual_mod_p(basis, orbit.row(p, m[-1]), p))
         if ranks[p] == r + 1:
-            return FilterVerdict(True, p, {"ranks": ranks, "bad_primes": bad})
-    return FilterVerdict(False, None, {"ranks": ranks, "bad_primes": bad})
+            return FilterVerdict(True, p, {"ranks": ranks})
+    return FilterVerdict(False, None, {"ranks": ranks})

@@ -207,47 +207,38 @@ class ModularOrbit:
     only their last row; the chain is checked against the indices, so
     the result does not depend on the order of the calls.
 
-    A prime is unusable for the point, and listed in bad_primes with a
-    reason, when it divides a denominator, or when f mod p is not
-    squarefree or has no root.
-
-    With count None every given prime is a filter prime, the unusable
-    ones included; otherwise primes are drawn from the iterable until
-    count usable ones are found, and the unusable ones are passed over.
-    At most DRAWS_PER_PRIME * count * deg f primes are drawn: an
-    irreducible f has a root mod p for a share of at least 1/deg f of
-    the primes (Chebotarev), but a non-squarefree f is unusable at every
-    prime.  Fewer than count usable primes are kept when the draws run
-    out.
+    Primes are drawn from the iterable until count usable ones are
+    found.  A prime is unusable for the point when it divides a
+    denominator, or when f mod p is not squarefree or has no root; each
+    one drawn is listed in bad_primes with its reason, and only the
+    usable ones, in the order drawn, are the filter primes.  At most
+    DRAWS_PER_PRIME * count * deg f primes are drawn: an irreducible f
+    has a root mod p for a share of at least 1/deg f of the primes
+    (Chebotarev), but a non-squarefree f is unusable at every prime.
+    Fewer than count usable primes are kept when the draws run out.
     Raises AllPrimesBad when no prime is usable.
     """
 
     DRAWS_PER_PRIME = 20
 
-    def __init__(self, point: ProjPoint, d: int, primes: Iterable[int],
-                 count: Optional[int] = None):
+    def __init__(self, point: ProjPoint, d: int, primes: Iterable[int], count: int):
         self.point = point
         self.degree = d
-        self.primes = []       # the filter primes, in the order given
-        self.roots = {}        # usable prime -> the root of f mod p used
-        self.bad_primes = {}   # unusable filter prime -> reason
+        self.bad_primes = {}   # unusable prime drawn -> reason
+        self._roots = {}       # usable prime -> the root of f mod p used, in draw order
         self._values = {}      # usable prime -> coordinate images v_j
         self._rows = {}        # (prime, iterate index) -> row of residues
         self._chains = {}      # usable prime -> (indices, echelon basis of each prefix)
-        if count is not None:
-            primes = islice(primes, self.DRAWS_PER_PRIME * count * point.ambient.degree)
         reason = None
-        for p in primes:
-            if count is not None and len(self._values) >= count:
-                break
+        for p in islice(primes, self.DRAWS_PER_PRIME * count * point.ambient.degree):
             reason = self._reduce(p)
-            if reason is None:
-                self.primes.append(p)
-            elif count is None:
-                self.primes.append(p)
+            if reason is not None:
                 self.bad_primes[p] = reason
-        if not self._values:
+            elif len(self._roots) == count:
+                break
+        if not self._roots:
             raise AllPrimesBad(f"no usable filter prime among those tried; last: {reason}")
+        self.primes = list(self._roots)  # the filter primes
 
     def _reduce(self, p: int) -> Optional[str]:
         """Record the images of the coordinates mod p; the reason p is
@@ -256,10 +247,10 @@ class ModularOrbit:
             root = root_mod_prime(self.point.ambient, p)
             if root is None:
                 return f"minimal polynomial has no root mod {p}"
-            self.roots[p] = root
+            self._roots[p] = root
             self._values[p] = [self.image(p, c) for c in self.point.coords]
         except BadPrime as exc:
-            self.roots.pop(p, None)
+            self._roots.pop(p, None)
             return str(exc)
         return None
 
@@ -269,7 +260,7 @@ class ModularOrbit:
         denominator of the value."""
         v = 0
         for a in reversed(reduce_mod_prime(value, p).coeffs):
-            v = (v * self.roots[p] + a) % p
+            v = (v * self._roots[p] + a) % p
         return v
 
     def row(self, p: int, m: int) -> tuple:

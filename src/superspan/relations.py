@@ -245,27 +245,3 @@ def lattice_reduce(L: RelLattice, v: Sequence[int]) -> List[int]:
 def lattice_contains(L: RelLattice, v: Sequence[int]) -> bool:
     """Exact membership of an integer vector in the lattice."""
     return not any(lattice_reduce(L, v))
-
-
-def coordinate_slice(L: RelLattice, indices: Sequence[int]) -> RelLattice:
-    """The sublattice of vectors vanishing at the given coordinates.
-
-    Lets a caller test intersection conditions of the form
-    R(P) cap {e_i = 0 : i in indices} = {0}.
-    """
-    indices = sorted(set(int(i) for i in indices))
-    if any(i < 0 or i >= L.dimension for i in indices):
-        raise DimensionMismatch(f"coordinate indices {indices} outside the lattice")
-    if not indices or not L.basis:
-        return L
-    constraints = [[row[i] for row in L.basis] for i in indices]
-    vectors = []
-    for c in integer_kernel(constraints):
-        v = [0] * L.dimension
-        for coeff, row in zip(c, L.basis):
-            if coeff:
-                for idx in range(L.dimension):
-                    v[idx] += coeff * row[idx]
-        vectors.append(v)
-    basis = hermite_normal_form(vectors)
-    return RelLattice(L.dimension, tuple(tuple(r) for r in basis))

@@ -248,8 +248,8 @@ def test_criterion_8_filter_soundness():
         suite = _filter_suite()
         assert len(suite) >= 10
         for P, d, r, M in suite:
-            fast = enumerate_exceptional(P, d, r, M, use_filter=True)
-            slow = enumerate_exceptional(P, d, r, M, use_filter=False)
+            fast = enumerate_exceptional(P, d, r, M)
+            slow = enumerate_exceptional(P, d, r, M, prime_count=0)
             assert fast.semantic_content() == slow.semantic_content(), (d, r, M)
 
 

@@ -53,10 +53,16 @@ def test_detect_malformed_point(capsys):
     assert err
 
 
+# a run whose exact work exceeds the exponent budget 4096 = 2^12: every
+# fourth iterate of [1, zeta_5, 2, 3] lies on the hyperplane x1 = zeta x0,
+# so its count needs iterate 16 exactly, as do the tuples past iterate 12
+# that the filter cannot certify
+BUDGET_RUN = ["detect", "--field", "cyclotomic:5", "--point", '[["1"],["0","1"],["2"],["3"]]',
+              "--d", "2", "--r", "3", "--max-iter", "16"]
+
+
 def test_detect_budget_partial(capsys):
-    code, out, _ = run_cli(capsys, "detect", "--point", "[1,2,-3]",
-                           "--d", "2", "--r", "2", "--max-iter", "14",
-                           "--budget", "4096")
+    code, out, _ = run_cli(capsys, *BUDGET_RUN, "--budget", "4096")
     assert code == 3
     doc = json.loads(out)
     assert doc["diagnostics"]["skipped"]
@@ -64,8 +70,7 @@ def test_detect_budget_partial(capsys):
 
 def test_detect_budget_env(capsys, monkeypatch):
     monkeypatch.setenv("SUPERSPAN_BUDGET", "4096")
-    code, out, _ = run_cli(capsys, "detect", "--point", "[1,2,-3]",
-                           "--d", "2", "--r", "2", "--max-iter", "14")
+    code, out, _ = run_cli(capsys, *BUDGET_RUN)
     assert code == 3
     monkeypatch.setenv("SUPERSPAN_BUDGET", "100")
     code, _, err = run_cli(capsys, "detect", "--point", "[1,2,-3]",
@@ -151,6 +156,27 @@ def test_options_a_command_does_not_take(tmp_path, monkeypatch, capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "sextic", "--budget", "5", "--point", "[1,2", "--field", "bogus"], "budget"),
+    (["verify", "lemmas", "--bound", "3", "--budget", "5", "--point", "[1,2"], "budget"),
+    (["verify", "lemmas", "--bound", "3", "--point", "[1,2"], "delimiter"),
+    (["verify", "sextic", "--field", "bogus"], "bogus"),
+])
+def test_verify_validates_flags_the_target_does_not_read(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_detect_negative_prime_count_rejected(capsys):
+    code, out, err = run_cli(capsys, "detect", "--point", "[1,2,-3]", "--d", "2", "--r", "2",
+                             "--max-iter", "8", "--primes", "-1")
+    assert code == 2
+    assert out == ""
+    assert "negative" in err
 
 
 def test_readme_commands_run(capsys):
@@ -313,15 +339,28 @@ def test_detect_golden_sextic_report(capsys):
 def test_detect_golden_budget_report(capsys):
     """A budget-limited run exits 3 and lists its skips; a skipped
     subspace carries its basis encoded like the report's bases."""
-    golden = Path(__file__).with_name("golden") / "detect_1_2_-3_r2_M14_budget4096.json"
-    code, out, _ = run_cli(capsys, "detect", "--point", "[1,2,-3]", "--d", "2", "--r", "2",
-                           "--max-iter", "14", "--budget", "4096")
+    golden = Path(__file__).with_name("golden") / "detect_1_z5_2_3_r3_M16_budget4096.json"
+    code, out, _ = run_cli(capsys, *BUDGET_RUN, "--budget", "4096")
     assert code == 3
     assert out == golden.read_text()
     doc = json.loads(out)
     skipped = [entry for entry in doc["diagnostics"]["skipped"] if "subspace" in entry]
+    assert len(skipped) == 1
     assert [entry["subspace"] for entry in skipped] == \
         [rec["basis"] for rec in doc["subspaces"] if rec["intersection_count"] == -1]
+
+
+def test_detect_golden_budget_limits_only_exact_work(capsys):
+    """Iterates past the budget that the filter primes certify off the
+    line need no exact arithmetic, so the budget does not cut the count."""
+    golden = Path(__file__).with_name("golden") / "detect_1_2_-3_r2_M14_budget4096.json"
+    code, out, _ = run_cli(capsys, "detect", "--point", "[1,2,-3]", "--d", "2", "--r", "2",
+                           "--max-iter", "14", "--budget", "4096")
+    assert code == 0
+    assert out == golden.read_text()
+    doc = json.loads(out)
+    assert doc["diagnostics"]["skipped"] == []
+    assert [rec["intersection_count"] for rec in doc["subspaces"]] == [3]
 
 
 @pytest.mark.parametrize("point, key", [

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import log
 
 import pytest
@@ -10,7 +10,6 @@ from superspan.constructions import cyclotomic_family, sextic_field, sextic_poin
 from superspan.detect import (
     DEFAULT_FILTER_PRIME_COUNT,
     enumerate_exceptional,
-    filter_primes,
     intersection_count,
 )
 from superspan.errors import (
@@ -25,13 +24,17 @@ from superspan.linalg import span_canonical
 from superspan.orbit import ExactOrbit, ModularOrbit, ProjPoint, iterate, iterate_matrix
 
 
+def stream_primes(k, seed=0):
+    return list(islice(detect._prime_stream(seed), k))
+
+
 def test_filter_primes_deterministic():
-    a = filter_primes(3, seed=0)
-    b = filter_primes(3, seed=0)
+    a = stream_primes(3, seed=0)
+    b = stream_primes(3, seed=0)
     assert a == b
     assert len(set(a)) == 3
     assert all(field.is_prime(p) and p.bit_length() == 30 for p in a)
-    assert filter_primes(3, seed=1) != a
+    assert stream_primes(3, seed=1) != a
 
 
 def test_one_exceptional_line():
@@ -91,8 +94,8 @@ def test_diagnostics_fields():
 def test_filtered_equals_unfiltered():
     for coords, r, M in [([1, 2, -3], 2, 4), ([1, 2, 3], 2, 5), ([1, 2, 3, 6], 2, 4)]:
         P = ProjPoint.rational(coords)
-        fast = enumerate_exceptional(P, 2, r, M, use_filter=True)
-        slow = enumerate_exceptional(P, 2, r, M, use_filter=False)
+        fast = enumerate_exceptional(P, 2, r, M)
+        slow = enumerate_exceptional(P, 2, r, M, prime_count=0)
         assert fast.semantic_content() == slow.semantic_content()
         assert fast.diagnostics["filtered"] + fast.diagnostics["exact_checked"] == \
             fast.diagnostics["tuples_total"]
@@ -115,8 +118,9 @@ def test_zero_coordinate_rejected():
 
 
 def test_budget_skips_are_reported():
-    P = ProjPoint.rational([1, 2, -3])
-    report = enumerate_exceptional(P, 2, 2, 14, use_filter=True, budget=2 ** 12)
+    C5 = field.cyclotomic_field(5)
+    P = ProjPoint(C5, [C5.one(), C5.gen(), C5.from_rational(2), C5.from_rational(3)])
+    report = enumerate_exceptional(P, 2, 3, 16, budget=2 ** 12)
     assert report.diagnostics["skipped"], "big tuples should blow the tiny budget"
     for entry in report.diagnostics["skipped"]:
         assert "reason" in entry
@@ -146,7 +150,7 @@ def test_quadric_point_detection():
     # [1,6,2,3] sits on x0 x1 = x2 x3; hyperplane detection at r = 3
     P = ProjPoint.rational([1, 6, 2, 3])
     report = enumerate_exceptional(P, 2, 3, 5)
-    slow = enumerate_exceptional(P, 2, 3, 5, use_filter=False)
+    slow = enumerate_exceptional(P, 2, 3, 5, prime_count=0)
     assert report.semantic_content() == slow.semantic_content()
 
 
@@ -160,7 +164,7 @@ def test_default_primes_have_roots():
     for P, r, M in [(z5, 3, 5), (sextic_point(), 2, 4)]:
         primes = _default_primes(P, 2, r, M)
         assert len(primes) == DEFAULT_FILTER_PRIME_COUNT
-        stream = filter_primes(200, seed=0)
+        stream = stream_primes(200)
         assert [p for p in stream if p in primes] == primes  # drawn in stream order
         for p in primes:
             root = field.root_mod_prime(P.ambient, p)
@@ -177,18 +181,7 @@ def test_default_primes_follow_the_seed():
     # a 30-bit prime never divides a small rational coordinate, so rational
     # points keep the first primes of the stream
     assert _default_primes(ProjPoint.rational([1, 2, -3]), 2, 2, 3, seed=7) == \
-        filter_primes(DEFAULT_FILTER_PRIME_COUNT, seed=7)
-
-
-def test_explicit_primes_without_root_are_bad():
-    C5 = field.cyclotomic_field(5)
-    P = ProjPoint(C5, [C5.one(), C5.gen()])
-    report = enumerate_exceptional(P, 2, 1, 5, primes=[10007, 10061])
-    assert report.diagnostics["primes"] == [10007, 10061]
-    slow = enumerate_exceptional(P, 2, 1, 5, use_filter=False)
-    assert report.semantic_content() == slow.semantic_content()
-    with pytest.raises(AllPrimesBad):
-        enumerate_exceptional(P, 2, 1, 5, primes=[10007])
+        stream_primes(DEFAULT_FILTER_PRIME_COUNT, seed=7)
 
 
 @pytest.mark.parametrize("min_poly", [[0, 0, 1], [1, -2, 1]])
@@ -205,9 +198,9 @@ def test_coordinate_vanishing_at_every_root():
     # filter never certifies, and the exact check meets the zero divisor
     K = field.number_field([-1, 0, 1])
     P = ProjPoint(K, [K.one(), K.gen() - 1])
-    for use_filter in (True, False):
+    for prime_count in (DEFAULT_FILTER_PRIME_COUNT, 0):
         with pytest.raises(NonInvertible):
-            enumerate_exceptional(P, 2, 1, 5, use_filter=use_filter)
+            enumerate_exceptional(P, 2, 1, 5, prime_count=prime_count)
 
 
 # ----------------------------------------------------------------------
@@ -280,14 +273,14 @@ def count_cases(draw):
 def test_modular_intersection_count_is_exact(case):
     P, d, L, M, primes = case
     try:
-        orbit = ModularOrbit(P, d, primes)
+        orbit = ModularOrbit(P, d, primes, len(primes))
     except AllPrimesBad:
         assume(False)
     exact = intersection_count(P, d, L, M)
     assert intersection_count(P, d, L, M, orbit=orbit) == exact
     if exact > L.rank:
         event("members beyond the spanning rank")
-    if any(c.denominator % p == 0 for p in orbit.roots
+    if any(c.denominator % p == 0 for p in orbit.primes
            for row in L.basis for v in row for c in v.coeffs):
         event("a usable prime divides a denominator of L")
 
@@ -333,7 +326,7 @@ def test_denominator_divisible_by_filter_prime(materialized, primes, exact_indic
     # the basis carries 1/11; iterates 0, 4 and 8 lie on the line
     P = ProjPoint(C5, [C5.one(), ZETA, ZETA ** 2])
     L = span_canonical([P.coords, [C5.zero(), C5.from_rational(11), C5.one()]])
-    orbit = ModularOrbit(P, 2, primes)
+    orbit = ModularOrbit(P, 2, primes, len(primes))
     with pytest.raises(BadPrime):
         orbit.image(11, L.basis[0][2])
     assert intersection_count(P, 2, L, 9, orbit=orbit) == 3
@@ -341,29 +334,33 @@ def test_denominator_divisible_by_filter_prime(materialized, primes, exact_indic
 
 
 def test_modular_count_keeps_budget_errors():
+    # the filter primes certify every iterate past 2 off the line, so only
+    # members 0, 1 and 2 are exact work; without them every index is
     P = ProjPoint.rational([1, 2, -3])
     L = span_canonical([iterate(P, 2, 0), iterate(P, 2, 1)])
-    orbit = ModularOrbit(P, 2, filter_primes(3))
+    orbit = ModularOrbit(P, 2, stream_primes(3), 3)
+    assert intersection_count(P, 2, L, 60, budget=4096, orbit=orbit) == 3
     with pytest.raises(ExponentBudgetExceeded):
-        intersection_count(P, 2, L, 14, budget=4096, orbit=orbit)
+        intersection_count(P, 2, L, 14, budget=4096)
 
 
 # ----------------------------------------------------------------------
 # the run's exact orbit
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("use_filter", [True, False])
+@pytest.mark.parametrize("filtered", [True, False])
 @pytest.mark.parametrize("P, r, M, lines", [
     (ProjPoint.rational([1, 2, -3]), 2, 8, 1),
     (ProjPoint(C5, [C5.one(), ZETA, ZETA ** 2]), 2, 9, 0),
     (sextic_point(), 2, 6, 2),
 ], ids=["1,2,-3", "1,z5,z5^2", "sextic"])
-def test_detect_materializes_each_iterate_once(materialized, P, r, M, lines, use_filter):
+def test_detect_materializes_each_iterate_once(materialized, P, r, M, lines, filtered):
     # confirmation, grouping and intersection counts share one cache
-    report = enumerate_exceptional(P, 2, r, M, use_filter=use_filter)
+    prime_count = DEFAULT_FILTER_PRIME_COUNT if filtered else 0
+    report = enumerate_exceptional(P, 2, r, M, prime_count=prime_count)
     assert len(report.subspaces) == lines
     assert len(materialized) == len(set(materialized))
-    if not use_filter:
+    if not filtered:
         assert sorted(indices(materialized)) == list(range(M + 1))
 
 
@@ -380,7 +377,7 @@ def test_periodic_orbit_matches_definition(exponents, r, M):
     # point, which super-spans for r = 1 and never for r >= 2
     P = ProjPoint(C5, [ZETA ** k for k in exponents])
     fast = enumerate_exceptional(P, 2, r, M)
-    slow = enumerate_exceptional(P, 2, r, M, use_filter=False)
+    slow = enumerate_exceptional(P, 2, r, M, prime_count=0)
     assert fast.semantic_content() == slow.semantic_content()
     assert fast.tuples == tuple(m for m in combinations(range(M + 1), r + 1)
                                 if super_rank_by_definition(iterate_matrix(P, 2, m).rows()))

@@ -86,14 +86,14 @@ def test_span_representative_invariance():
 
 def test_modular_filter_certifies_generic():
     P = ProjPoint.rational([1, 2, 3])
-    verdict = linalg.modular_rank_filter(ModularOrbit(P, 2, [10007]), (0, 1, 2), 2)
+    verdict = linalg.modular_rank_filter(ModularOrbit(P, 2, [10007], 1), (0, 1, 2), 2)
     assert verdict.certified
     assert verdict.prime == 10007
 
 
 def test_modular_filter_candidate():
     P = ProjPoint.rational([1, 2, -3])
-    orbit = ModularOrbit(P, 2, [10007, 65537, 1000003])
+    orbit = ModularOrbit(P, 2, [10007, 65537, 1000003], 3)
     verdict = linalg.modular_rank_filter(orbit, (0, 1, 2), 2)
     assert not verdict.certified
 
@@ -101,7 +101,7 @@ def test_modular_filter_candidate():
 def test_modular_filter_all_primes_bad():
     P = ProjPoint.rational([1, Fraction(1, 7), 3])
     with pytest.raises(AllPrimesBad):
-        linalg.modular_rank_filter(ModularOrbit(P, 2, [7]), (0, 1, 2), 2)
+        linalg.modular_rank_filter(ModularOrbit(P, 2, [7], 1), (0, 1, 2), 2)
 
 
 def test_modular_rank_below_exact():
@@ -123,7 +123,7 @@ def test_filter_never_certifies_true_exceptional():
     for m in combinations(range(5), 3):
         A = iterate_matrix(P, 2, m)
         exact_rank = linalg.rank(A)
-        verdict = linalg.modular_rank_filter(ModularOrbit(P, 2, [10007, 65537]), m, 2)
+        verdict = linalg.modular_rank_filter(ModularOrbit(P, 2, [10007, 65537], 2), m, 2)
         if verdict.certified:
             assert exact_rank == 3
 
@@ -134,7 +134,7 @@ def test_cyclotomic_filter_matches_exact():
     P = ProjPoint(C5, [C5.one(), z, C5.from_rational(2), C5.from_rational(3)])
     # iterates 0, 4, 8 of d=2 agree in the zeta coordinate (2^n mod 5 cycle);
     # 10061 = 1 (mod 5), so Phi_5 has a root there
-    verdict = linalg.modular_rank_filter(ModularOrbit(P, 2, [10061]), (0, 4, 8), 2)
+    verdict = linalg.modular_rank_filter(ModularOrbit(P, 2, [10061], 1), (0, 4, 8), 2)
     A = iterate_matrix(P, 2, (0, 4, 8))
     assert verdict.certified and verdict.prime == 10061
     assert linalg.rank(A) == 3

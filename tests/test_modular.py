@@ -3,7 +3,7 @@ and the soundness of the rank filter, over Q, Q(zeta_5) and the sextic."""
 
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from math import log
 
 import pytest
@@ -11,7 +11,7 @@ from hypothesis import event, example, given, settings, strategies as st
 
 from superspan import field, linalg, modp, orbit as orbit_module
 from superspan.constructions import sextic_field, sextic_point
-from superspan.detect import enumerate_exceptional
+from superspan.detect import _prime_stream, enumerate_exceptional
 from superspan.errors import AllPrimesBad, BadPrime
 from superspan.orbit import ModularOrbit, ProjPoint, iterate_matrix
 
@@ -147,7 +147,7 @@ def test_root_mod_prime_rejects():
 def test_cached_rows_are_reduced_exact_iterates(case):
     P, d, ms, primes = case
     try:
-        orbit = ModularOrbit(P, d, primes)
+        orbit = ModularOrbit(P, d, primes, len(primes))
     except AllPrimesBad:
         orbit = None
     for p in primes:
@@ -155,7 +155,7 @@ def test_cached_rows_are_reduced_exact_iterates(case):
             event("unusable prime")
             continue
         event("usable prime")
-        root = orbit.roots[p]
+        root = field.root_mod_prime(P.ambient, p)
         assert evaluate(poly_mod(P.ambient, p), root, p) == 0
         for m in ms:
             exact = [c ** d ** m for c in P.coords]
@@ -170,7 +170,7 @@ def test_cached_rows_are_reduced_exact_iterates(case):
                 field.reduce_mod_prime(c, p)
         except BadPrime:
             usable = False
-        assert usable == (orbit is not None and p in orbit.roots)
+        assert usable == (orbit is not None and p in orbit.primes)
 
 
 @PROPERTY
@@ -184,7 +184,7 @@ def test_cached_rows_are_reduced_exact_iterates(case):
 def test_filter_never_certifies_rank_deficient(case):
     P, d, m, r, primes = case
     try:
-        orbit = ModularOrbit(P, d, primes)
+        orbit = ModularOrbit(P, d, primes, len(primes))
     except AllPrimesBad:
         return
     verdict = linalg.modular_rank_filter(orbit, m, r)
@@ -233,12 +233,13 @@ def filter_call_sequences(draw):
 def test_filter_verdicts_do_not_depend_on_call_order(case):
     P, d, r, primes, tuples = case
     try:
-        orbit = ModularOrbit(P, d, primes)
+        orbit = ModularOrbit(P, d, primes, len(primes))
     except AllPrimesBad:
         return
     for m in tuples:
         verdict = linalg.modular_rank_filter(orbit, m, r)
-        assert verdict == linalg.modular_rank_filter(ModularOrbit(P, d, primes), m, r)
+        fresh = ModularOrbit(P, d, primes, len(primes))
+        assert verdict == linalg.modular_rank_filter(fresh, m, r)
         event("certified" if verdict.certified else "candidate")
         if any(rank < len(m) - 1 for rank in verdict.diagnostics["ranks"].values()):
             event("a prefix drops rank mod p")
@@ -272,29 +273,78 @@ def test_f_is_reduced_once_per_prime(monkeypatch, P, r, reductions):
 
 def test_bad_prime_reasons():
     P = ProjPoint(C5, [1, ZETA - 3, 2])
-    orbit = ModularOrbit(P, 2, [7, 5, 11, 31])
-    assert orbit.primes == [7, 5, 11, 31]
-    assert orbit.roots == {11: 3, 31: 2}
+    orbit = ModularOrbit(P, 2, [7, 5, 11, 31], 4)
+    assert orbit.primes == [11, 31]
     reasons = orbit.bad_primes
     assert list(reasons) == [7, 5]
     assert "no root" in reasons[7]
     assert "squarefree" in reasons[5]
     # zeta - 3 maps to 0 at the root 3 mod 11: the prime stays usable and
     # its rows have a zero column, so it cannot certify
+    assert orbit.image(11, ZETA) == 3
     assert orbit.row(11, 2) == (1, 0, 5)
     verdict = linalg.modular_rank_filter(orbit, (0, 1, 2), 2)
-    assert verdict.diagnostics["bad_primes"] == [(7, reasons[7]), (5, reasons[5])]
-    assert verdict.diagnostics["ranks"] == {11: 2, 31: 3}
+    assert verdict.diagnostics == {"ranks": {11: 2, 31: 3}}
     assert verdict.prime == 31
     with pytest.raises(AllPrimesBad):
-        ModularOrbit(P, 2, [7, 5])
+        ModularOrbit(P, 2, [7, 5], 2)
 
 
 def test_drawn_primes_skip_unusable():
     P = ProjPoint.rational([1, Fraction(1, 97), 2])
     orbit = ModularOrbit(P, 6, iter([97, 3, 101, 103]), count=2)
     assert orbit.primes == [3, 101]
-    assert orbit.bad_primes == {}
+    assert list(orbit.bad_primes) == [97]
+    assert "97" in orbit.bad_primes[97]
+
+
+def test_explicit_primes_without_root_are_bad():
+    # Phi_5 has a root mod p only when p = 1 mod 5
+    P = ProjPoint(C5, [1, ZETA])
+    orbit = ModularOrbit(P, 2, [10007, 10061], 2)
+    assert orbit.primes == [10061]
+    assert "no root" in orbit.bad_primes[10007]
+    with pytest.raises(AllPrimesBad):
+        ModularOrbit(P, 2, [10007], 1)
+
+
+def test_sextic_records_the_primes_it_passes_over():
+    # f has a root mod only 3 of the first 16 primes of the default stream
+    drawn = list(islice(_prime_stream(0), 16))
+    orbit = ModularOrbit(sextic_point(), 2, _prime_stream(0), 3)
+    assert len(orbit.primes) == 3
+    assert len(orbit.bad_primes) == 13
+    assert sorted(orbit.primes + list(orbit.bad_primes)) == sorted(drawn)
+    assert all("no root" in reason for reason in orbit.bad_primes.values())
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(FIELDS)).flatmap(lambda kind: st.tuples(
+           st.sampled_from(FIELDS[kind][0]),
+           st.lists(st.sampled_from(FIELDS[kind][1]), min_size=1, max_size=6, unique=True))),
+       st.integers(1, 4))
+@example((ZETA - 3, [7, 5, 11, 31]), 1)
+@example((C5.from_rational(2), [5, 7, 41]), 3)
+@example((Q.from_rational(Fraction(1, 2)), [2, 3, 5, 7, 11]), 2)
+def test_orbit_primes_and_bad_primes_split_a_prefix(case, count):
+    value, primes = case
+    K = value.ambient
+    try:
+        orbit = ModularOrbit(ProjPoint(K, [K.one(), value]), 2, primes, count)
+    except AllPrimesBad:
+        event("no usable prime")
+        return
+    usable, bad = orbit.primes, list(orbit.bad_primes)
+    event(f"{len(bad)} unusable primes")
+    assert not set(usable) & set(bad)
+    assert len(usable) <= count
+    drawn = primes[:len(usable) + len(bad)]
+    # each list keeps the draw order, and together they are the draws
+    assert usable == [p for p in drawn if p in usable]
+    assert bad == [p for p in drawn if p in orbit.bad_primes]
+    assert sorted(usable + bad) == sorted(drawn)
+    # draws stop at the count-th usable prime, or when the list runs out
+    assert len(usable) == count or len(drawn) == len(primes)
 
 
 def test_drawn_primes_are_capped():

@@ -16,7 +16,6 @@ from superspan.errors import DimensionMismatch, SoundnessError, Unsupported, Zer
 from superspan.orbit import ProjPoint, iterate
 from superspan.relations import (
     RelLattice,
-    coordinate_slice,
     exponent_matrix,
     hermite_normal_form,
     integer_kernel,
@@ -182,22 +181,6 @@ def test_number_field_rejected():
     P = ProjPoint(K, [K.one(), K.gen(), K.one()])
     with pytest.raises(Unsupported):
         relation_lattice(P)
-
-
-def test_coordinate_slice():
-    # quadric lattice meets every coordinate hyperplane trivially
-    Lq = relation_lattice(ProjPoint.rational([1, 6, 2, 3]))
-    for i in range(4):
-        assert coordinate_slice(Lq, [i]).rank == 0
-    # rank-2 lattice of [1,2,4,8] keeps a rank-1 slice at coordinate 3
-    L = relation_lattice(ProjPoint.rational([1, 2, 4, 8]))
-    assert L.rank == 2
-    sliced = coordinate_slice(L, [3])
-    assert sliced.rank == 1
-    assert sliced.basis == ((1, -2, 1, 0),)
-    assert coordinate_slice(L, []) == L
-    with pytest.raises(DimensionMismatch):
-        coordinate_slice(L, [7])
 
 
 def test_hnf_unimodular_invariance():
