@@ -5,7 +5,8 @@ relation lattice), verify (the worked-example and lemma checkers), and
 analyze (vanishing-subsum analysis of a single tuple).
 
 Exit codes: 0 success, 1 a verification check failed, 2 invalid input,
-3 budget exhaustion with partial results written and flagged.  All
+3 budget exhaustion (detect writes its partial results, flagged; analyze
+and verify write no document).  All
 randomness (the filter primes) is seeded from the configuration, and
 JSON output uses sorted keys, so identical configurations produce
 byte-identical documents.
@@ -26,7 +27,7 @@ from .errors import (
     SuperspanError,
     TooManyTerms,
 )
-from .orbit import DEFAULT_EXPONENT_BUDGET, iterate_matrix
+from .orbit import DEFAULT_EXPONENT_BUDGET, ExactOrbit
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -209,7 +210,8 @@ def _cmd_analyze(args) -> int:
     r = len(m) - 1
     columns = (tuple(int(x) for x in args.columns.split(","))
                if args.columns else tuple(range(r + 1)))
-    tv = subsum.det_terms(P, args.d, m, columns, budget)
+    exact = ExactOrbit(P, args.d, budget)
+    tv = subsum.det_terms(P, args.d, m, columns, exact=exact)
     doc = {
         "input": {"point": jsonio.encode_point(P), "d": args.d,
                   "m": list(m), "columns": list(columns), "mode": args.mode},
@@ -234,8 +236,8 @@ def _cmd_analyze(args) -> int:
         except TooManyTerms:
             doc["diagnostic"] = "TooManyTerms"
 
-    A = iterate_matrix(P, args.d, m, budget)
-    doc["deleted_row_ranks"] = [subsum.deleted_row_rank(A, t) for t in range(r + 1)]
+    rows = exact.rows(m)
+    doc["deleted_row_ranks"] = [subsum.deleted_row_rank(rows, t) for t in range(r + 1)]
     _emit(args, doc)
     return EXIT_OK
 

@@ -29,7 +29,7 @@ from .errors import (
 from .field import FieldDesc, cyclotomic_field, is_prime, monicize, number_field
 from .field import _padd, _pmul  # exact univariate helpers
 from .linalg import Subspace, span_canonical
-from .orbit import ExactOrbit, ProjPoint, iterate_matrix
+from .orbit import ExactOrbit, ProjPoint
 from .relations import lattice_reduce, relation_lattice
 
 # the degree-6 example polynomial, raw integer form 2x^6+6x^5+5x^4+5x^2+6x+2
@@ -199,8 +199,7 @@ def verify_sextic_example() -> dict:
     checks.append({"name": "coordinate_sum_zero", "pass": total.is_zero(),
                    "detail": "alpha + beta + gamma == 0"})
 
-    A = iterate_matrix(P, 2, (0, 3, 4))  # exponents 1, 8, 16
-    d_val = linalg.det(A.rows())
+    d_val = linalg.det(ExactOrbit(P, 2).rows((0, 3, 4)))  # exponents 1, 8, 16
     checks.append({"name": "second_determinant_vanishes", "pass": d_val.is_zero(),
                    "detail": "det of the (1,8,16)-exponent matrix in K"})
 
@@ -227,6 +226,8 @@ def quadric_case_probe(P: ProjPoint, d: int, bound: int) -> dict:
     inside the lattice only as the zero vector when they do share one.
     Any violation is reported as a counterexample.
     """
+    if d < 2:
+        raise ValueError("power map degree must be >= 2")
     coords = [c.as_rational() for c in P.coords]
     if len(coords) != 4:
         raise OffQuadric("quadric probe expects a point of P^3")

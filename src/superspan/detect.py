@@ -74,7 +74,7 @@ class ExceptionalReport:
         """Everything except run diagnostics; used to compare filtered
         and unfiltered runs."""
         return (self.tuples,
-                tuple((rec.subspace.key(), rec.preimage, rec.intersection_count)
+                tuple((rec.subspace, rec.preimage, rec.intersection_count)
                       for rec in self.subspaces))
 
 
@@ -157,18 +157,17 @@ def enumerate_exceptional(P: ProjPoint, d: int, r: int, max_iter: int,
     # insertion order is the order of their least preimage tuples
     groups = {}
     for m in confirmed:
-        L = span_canonical(exact.rows(m))
-        groups.setdefault(L.key(), (L, []))[1].append(m)
+        groups.setdefault(span_canonical(exact.rows(m)), []).append(m)
 
     records = []
-    for key, (L, preimage) in groups.items():
+    for L, preimage in groups.items():
         try:
             hits = intersection_count(P, d, L, max_iter, budget, orbit, exact)
         except ExponentBudgetExceeded as exc:
             hits = -1
             # each basis entry as the report writes field values
-            skipped.append({"subspace": [[list(map(str, coeffs)) for coeffs in row]
-                                         for row in key],
+            skipped.append({"subspace": [[list(map(str, v.coeffs)) for v in row]
+                                         for row in L.basis],
                             "reason": str(exc)})
         records.append(SubspaceRecord(L, tuple(preimage), hits))
 

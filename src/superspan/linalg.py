@@ -31,10 +31,7 @@ from .field import FieldDesc, FieldValue, RATIONAL
 
 
 def _coerce_rows(rows) -> List[List[FieldValue]]:
-    """Accept sequences of FieldValue rows, ProjPoint-likes (via .coords),
-    or IterMatrix-likes (via .rows())."""
-    if hasattr(rows, "rows"):
-        rows = rows.rows()
+    """Accept sequences of FieldValue rows or ProjPoint-likes (via .coords)."""
     out = []
     for row in rows:
         row = getattr(row, "coords", row)
@@ -192,10 +189,6 @@ class Subspace:
     @property
     def dim_projective(self) -> int:
         return len(self.basis) - 1
-
-    def key(self):
-        """Hashable canonical key (used to deduplicate spans)."""
-        return tuple(tuple(v.coeffs for v in row) for row in self.basis)
 
 
 def span_canonical(points) -> Subspace:

@@ -5,14 +5,13 @@ canonically scaled so its first nonzero coordinate is 1.  Iterating the
 degree-d power map raises every coordinate to the d^m-th power; when the
 field has roots of unity the cost is tiny, but over the rationals the
 bit size of entries doubles with every iterate, so exact materialization
-is guarded by a configurable budget on the exponent d^m.  IterMatrix is
-therefore a lazy handle: rank queries should prefer the modular filter
-and only materialize entries when a tuple survives it.  A detection run
-holds two caches of its orbit: ModularOrbit keeps it modulo the filter
-primes, as rows of ints, and ExactOrbit keeps exact coordinate powers,
-each computed at most once.  Membership of a point in a subspace is read
-off the subspace's RREF basis by substitution, reading only the
-coordinates the basis needs.
+is guarded by a configurable budget on the exponent d^m.  A run holds
+two caches of its orbit: ModularOrbit keeps it modulo the filter primes,
+as rows of ints, and ExactOrbit keeps exact coordinate powers, each
+computed at most once; an IterMatrix is a view of a few iterates of an
+ExactOrbit.  Membership of a point in a subspace is read off the
+subspace's RREF basis by substitution, reading only the coordinates the
+basis needs.
 """
 
 from __future__ import annotations
@@ -114,16 +113,13 @@ def iterate(P: ProjPoint, d: int, m: int,
     return ProjPoint(P.ambient, [c ** e for c in P.coords])
 
 
-class ExactOrbit(dict):
+class ExactOrbit:
     """The exact orbit as a cache of coordinate powers: power(j, m) is
     alpha_j ** (d^m), computed once, as the largest cached alpha_j ** (d^k)
-    with k < m raised to d^(m-k).  The point is canonical, with leading
-    coordinate 1, so orbit[m], built once, is exactly these powers.  An
-    index past the exponent budget raises ExponentBudgetExceeded and
-    stays out of both caches."""
+    with k < m raised to d^(m-k).  An index past the exponent budget
+    raises ExponentBudgetExceeded and stays out of the cache."""
 
     def __init__(self, point: ProjPoint, d: int, budget: Optional[int] = None):
-        super().__init__()
         self.point, self.degree, self.budget = point, d, budget
         self.powers = [{} for _ in point.coords]  # per coordinate: m -> its power
 
@@ -137,45 +133,38 @@ class ExactOrbit(dict):
                         else cache[k] ** (self.degree ** (m - k)))
         return cache[m]
 
-    def __missing__(self, m: int) -> ProjPoint:
-        self[m] = Q = ProjPoint(self.point.ambient,
-                                [self.power(j, m) for j in range(len(self.point.coords))])
-        return Q
-
     def member(self, m: int, L: linalg.Subspace) -> bool:
         """True iff iterate m lies on L (see subspace_membership)."""
         return _in_span(self.point, lambda j: self.power(j, m), L)
 
     def rows(self, m: Sequence[int]) -> list:
-        """The coordinate rows of the iterates m_0, m_1, ..., in order."""
-        return [self[mi].coords for mi in m]
+        """The coordinate rows of the iterates m_0, m_1, ..., in order.
+        The point is canonical, with leading coordinate 1, so each row is
+        its iterate's canonical coordinates."""
+        columns = range(len(self.point.coords))
+        return [tuple(self.power(j, mi) for j in columns) for mi in m]
 
 
 class IterMatrix:
-    """Lazy handle for the (r+1)x(n+1) matrix of iterates A_m.
+    """The (r+1)x(n+1) matrix of iterates A_m, as a view of an ExactOrbit.
 
     Row i, read as a projective point, is the m_i-th iterate of the base
     point; entry (i, j) is coordinate j raised to the d^{m_i}-th power.
-    Rows are materialized on demand through an ExactOrbit, under the
-    exponent budget.
+    Rows are read from the orbit on demand, under its exponent budget.
+    Build one with iterate_matrix, which validates the tuple.
     """
 
-    __slots__ = ("point", "degree", "tuple", "_orbit")
+    __slots__ = ("orbit", "tuple")
 
-    def __init__(self, point: ProjPoint, degree: int, m: Sequence[int],
-                 budget: Optional[int] = None):
-        if degree < 2:
-            raise ValueError("power map degree must be >= 2")
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "tuple", validate_exp_tuple(m))
-        object.__setattr__(self, "_orbit", ExactOrbit(point, degree, budget))
+    def __init__(self, orbit: ExactOrbit, m: tuple):
+        object.__setattr__(self, "orbit", orbit)
+        object.__setattr__(self, "tuple", m)
 
     def __setattr__(self, name, value):
         raise AttributeError("IterMatrix is immutable")
 
     def rows(self):
-        return [list(row) for row in self._orbit.rows(self.tuple)]
+        return [list(row) for row in self.orbit.rows(self.tuple)]
 
 
 def iterate_matrix(P: ProjPoint, d: int, m: Sequence[int],
@@ -186,7 +175,9 @@ def iterate_matrix(P: ProjPoint, d: int, m: Sequence[int],
     m = validate_exp_tuple(m)
     if len(m) > len(P.coords):
         raise TupleTooLong(f"tuple of length {len(m)} in P^{P.dim}")
-    return IterMatrix(P, d, m, budget)
+    if d < 2:
+        raise ValueError("power map degree must be >= 2")
+    return IterMatrix(ExactOrbit(P, d, budget), m)
 
 
 class ModularOrbit:

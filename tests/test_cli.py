@@ -281,6 +281,14 @@ def test_verify_quadric(capsys):
     assert json.loads(out)["counterexamples"] == []
 
 
+@pytest.mark.parametrize("d", [1, 0, -2])
+def test_verify_quadric_rejects_non_power_map_degree(capsys, d):
+    code, out, err = run_cli(capsys, "verify", "quadric", "--point", "[1,6,2,3]",
+                             "--d", str(d), "--bound", "4")
+    assert code == 2 and out == ""
+    assert "power map degree must be >= 2" in err
+
+
 def test_analyze_degenerate_tuple(capsys):
     code, out, _ = run_cli(capsys, "analyze", "--point", "[1,2,-3]",
                            "--d", "2", "--m", "0,1,2")
@@ -309,6 +317,33 @@ def test_analyze_bullet_mode_r4(capsys):
     assert len(doc["terms"]) == 120
     assert set(doc["bullet_analysis"]) == {"0", "1", "2", "3", "4"}
     assert "finest_partition" not in doc
+
+
+@pytest.mark.parametrize("argv, powers", [
+    (["--point", "[1,2,-3]", "--d", "2", "--m", "0,1,2"], 9),
+    (["--point", "[1,2,3,5,7]", "--d", "2", "--m", "0,1,2,3,4", "--mode", "bullet"], 25),
+])
+def test_analyze_builds_each_power_once(capsys, monkeypatch, argv, powers):
+    # one power per (coordinate, iterate index): the term vector and the
+    # deleted-row ranks read the same exact orbit
+    calls = []
+    power = superspan.field.FieldValue.__pow__
+
+    def counting_pow(self, e):
+        calls.append(e)
+        return power(self, e)
+
+    monkeypatch.setattr(superspan.field.FieldValue, "__pow__", counting_pow)
+    code, _, err = run_cli(capsys, "analyze", *argv)
+    assert code == 0, err
+    assert len(calls) == powers
+
+
+def test_analyze_budget_exhaustion_writes_nothing(capsys):
+    code, out, err = run_cli(capsys, "analyze", "--point", "[1,2,-3]",
+                             "--d", "2", "--m", "0,1,50")
+    assert code == 3 and out == ""
+    assert "exponent budget" in err
 
 
 def test_unknown_command(capsys):

@@ -59,11 +59,11 @@ def test_monotone_in_bound():
     P = ProjPoint.rational([1, 2, -3])
     small = enumerate_exceptional(P, 2, 2, 3)
     large = enumerate_exceptional(P, 2, 2, 6)
-    small_keys = {rec.subspace.key() for rec in small.subspaces}
-    large_keys = {rec.subspace.key() for rec in large.subspaces}
+    small_keys = {rec.subspace for rec in small.subspaces}
+    large_keys = {rec.subspace for rec in large.subspaces}
     assert small_keys <= large_keys
-    counts_small = {rec.subspace.key(): rec.intersection_count for rec in small.subspaces}
-    counts_large = {rec.subspace.key(): rec.intersection_count for rec in large.subspaces}
+    counts_small = {rec.subspace: rec.intersection_count for rec in small.subspaces}
+    counts_large = {rec.subspace: rec.intersection_count for rec in large.subspaces}
     for key, count in counts_small.items():
         assert counts_large[key] >= count
 

@@ -188,7 +188,7 @@ def test_filter_never_certifies_rank_deficient(case):
     except AllPrimesBad:
         return
     verdict = linalg.modular_rank_filter(orbit, m, r)
-    exact = linalg.rank(iterate_matrix(P, d, m))
+    exact = linalg.rank(iterate_matrix(P, d, m).rows())
     event(f"exact rank {'full' if exact == r + 1 else 'deficient'}, "
           f"{'certified' if verdict.certified else 'candidate'}")
     if verdict.certified:

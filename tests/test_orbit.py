@@ -87,6 +87,11 @@ def test_iterate_matrix_rejects_long_tuple():
         iterate_matrix(ProjPoint.rational([1, 2]), 2, (0, 1, 2))
 
 
+def test_iterate_matrix_rejects_non_power_map_degree():
+    with pytest.raises(ValueError, match="degree must be >= 2"):
+        iterate_matrix(ProjPoint.rational([1, 2, 3]), 1, (0, 1))
+
+
 def test_exp_tuple_validation():
     assert validate_exp_tuple([0, 3, 5]) == (0, 3, 5)
     with pytest.raises(ValueError):
@@ -167,20 +172,20 @@ def test_membership_matches_rank(case):
 
 @pytest.mark.parametrize("m", [13, 50])
 def test_exact_orbit_budget(m):
-    # the message is checked_power's, and a refused index is in neither
-    # cache, whichever access refused it
+    # the message is checked_power's, and a refused index is not cached,
+    # whichever access refused it
     P = ProjPoint.rational([1, 2, -3])
     exact = ExactOrbit(P, 2, budget=4096)
     L = linalg.span_canonical([P, iterate(P, 2, 1)])
-    for access in (lambda: exact[m], lambda: exact.power(2, m), lambda: exact.member(m, L)):
+    for access in (lambda: exact.rows([m]), lambda: exact.power(2, m),
+                   lambda: exact.member(m, L)):
         with pytest.raises(ExponentBudgetExceeded) as got:
             access()
         with pytest.raises(ExponentBudgetExceeded) as want:
             checked_power(2, m, 4096)
         assert str(got.value) == str(want.value)
-        assert m not in exact and not any(m in powers for powers in exact.powers)
+        assert not any(m in powers for powers in exact.powers)
     assert exact.rows([0, 12]) == [P.coords, iterate(P, 2, 12).coords]
-    assert exact[12] is exact[12]
     # a step from the cached power 12 is checked too
     with pytest.raises(ExponentBudgetExceeded):
         exact.power(1, 13)
@@ -233,7 +238,7 @@ def test_exact_orbit_matches_iterate(case):
 
     field.FieldValue.__pow__ = counting_pow
     try:
-        got = [exact[m] if kind == "point"
+        got = [exact.rows([m])[0] if kind == "point"
                else exact.power(k % (P.dim + 1), m) if kind == "power"
                else exact.member(m, spans[k % len(spans)])
                for kind, m, k in accesses]
@@ -242,7 +247,7 @@ def test_exact_orbit_matches_iterate(case):
     assert len(pow_calls) == sum(len(powers) for powers in exact.powers)
     for (kind, m, k), value in zip(accesses, got):
         if kind == "point":
-            assert value == iterate(P, d, m) and value is exact[m]
+            assert value == iterate(P, d, m).coords
         elif kind == "power":
             assert value == P.coords[k % (P.dim + 1)] ** d ** m
         else:

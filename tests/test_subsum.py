@@ -277,7 +277,7 @@ def test_exceptional_rank_drop(P, d, m, t):
         for block in bullet_partition(2, t).blocks:
             assert not tv.block_sum(block)
     assert deleted_row_rank(A, t) == 1  # r - 1
-    assert not linalg.super_rank(A)
+    assert not linalg.super_rank(rows)
 
 
 def test_subpartition_collision_inheritance():
