@@ -134,10 +134,6 @@ def _emit(args, document: dict, csv_rows=None) -> None:
 def _cmd_detect(args) -> int:
     P = _load_point(args)
     budget = _resolve_budget(args)
-    if args.d < 2:
-        raise ValueError("power map degree must be >= 2")
-    if args.max_iter < args.r:
-        raise ValueError("--max-iter must be at least r")
     report = detect.enumerate_exceptional(
         P, args.d, args.r, args.max_iter,
         prime_count=args.primes, seed=args.seed, budget=budget)

@@ -27,7 +27,6 @@ from .errors import (
     ZeroTail,
 )
 from .field import FieldDesc, cyclotomic_field, is_prime, monicize, number_field
-from .field import _padd, _pmul  # exact univariate helpers
 from .linalg import Subspace, span_canonical
 from .orbit import ExactOrbit, ProjPoint
 from .relations import lattice_reduce, relation_lattice
@@ -72,7 +71,7 @@ def _warn_if_tail_dependent(tail: Sequence[Fraction]) -> None:
     # exact for rationals: a multiplicative relation among the tail
     # entries is a relation of the point [1, tail...], whose coordinate 0
     # absorbs the sum-zero condition
-    if relation_lattice([1, *tail]).rank:
+    if relation_lattice(ProjPoint.rational([1, *tail])).rank:
         warnings.warn("cyclotomic family tail is multiplicatively dependent; "
                       "the Zariski-density hypothesis fails", stacklevel=3)
 
@@ -182,16 +181,13 @@ def verify_sextic_example() -> dict:
     g = [Fraction(c) for c in monicize(list(reversed(SEXTIC_RAW)))]
     checks = []
 
-    # g(-1-x) as an exact polynomial composition
-    composed: List[Fraction] = []
-    power = [Fraction(1)]
-    for c in g:
-        composed = _padd(composed, [x * c for x in power])
-        power = _pmul(power, [Fraction(-1), Fraction(-1)])
-    composed += [Fraction(0)] * (len(g) - len(composed))
-    ok = composed == g
-    checks.append({"name": "beta_root_closure", "pass": ok,
-                   "detail": "g(-1-x) == g(x)" if ok else f"g(-1-x) = {composed}"})
+    # g(-1-x) and g(x) have degree 6, so they are equal iff they agree
+    # at the 7 points t = 0, ..., 6
+    differ = [t for t in range(len(g))
+              if sum(c * ((-1 - t) ** k - t ** k) for k, c in enumerate(g))]
+    checks.append({"name": "beta_root_closure", "pass": not differ,
+                   "detail": f"g(-1-t) != g(t) at t = {differ[0]}" if differ
+                   else "g(-1-x) == g(x)"})
 
     P = sextic_point()
     alpha, beta, gamma = P.coords
@@ -224,10 +220,13 @@ def quadric_case_probe(P: ProjPoint, d: int, bound: int) -> dict:
     vector v must stay outside the lattice when the permutations share
     no fixed point (otherwise the tuples would be forced equal), and
     inside the lattice only as the zero vector when they do share one.
-    Any violation is reported as a counterexample.
+    Any violation is reported as a counterexample.  The bound must be at
+    least 4, so that two such tuples exist.
     """
     if d < 2:
         raise ValueError("power map degree must be >= 2")
+    if bound < 4:
+        raise ValueError(f"bound {bound} must be at least 4, or no two 4-tuples exist")
     coords = [c.as_rational() for c in P.coords]
     if len(coords) != 4:
         raise OffQuadric("quadric probe expects a point of P^3")

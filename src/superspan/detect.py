@@ -79,7 +79,6 @@ class ExceptionalReport:
 
 
 def intersection_count(P: ProjPoint, d: int, L: Subspace, max_iter: int,
-                       budget: Optional[int] = None,
                        orbit: Optional[ModularOrbit] = None,
                        exact: Optional[ExactOrbit] = None) -> int:
     """Number of iterate indices 0 <= m <= max_iter with the iterate on L.
@@ -91,12 +90,12 @@ def intersection_count(P: ProjPoint, d: int, L: Subspace, max_iter: int,
     image of L's basis.  That basis is in RREF, so its image keeps all
     L.rank pivots; a prime dividing a denominator of L is skipped for
     this L.  Only the other iterates are materialized, from the run's
-    exact orbit or else from a fresh one, so the exponent budget limits
-    only them: ExponentBudgetExceeded means that an iterate past the
-    budget could not be certified off L.
+    exact orbit or else from a fresh one under the default budget, so
+    the exponent budget limits only them: ExponentBudgetExceeded means
+    that an iterate past the budget could not be certified off L.
     """
     if exact is None:
-        exact = ExactOrbit(P, d, budget)
+        exact = ExactOrbit(P, d)
     reduced = {}  # usable prime -> echelon basis of L mod p
     for p in (orbit.primes if orbit is not None else ()):
         try:
@@ -135,8 +134,8 @@ def enumerate_exceptional(P: ProjPoint, d: int, r: int, max_iter: int,
         raise ValueError(f"iterate bound {max_iter} cannot host an (r+1)-tuple")
     if prime_count < 0:
         raise ValueError(f"filter prime count {prime_count} is negative")
-    orbit = ModularOrbit(P, d, _prime_stream(seed), prime_count) if prime_count else None
     exact = ExactOrbit(P, d, budget)
+    orbit = ModularOrbit(P, d, _prime_stream(seed), prime_count) if prime_count else None
 
     confirmed: List[tuple] = []
     skipped = []
@@ -162,7 +161,7 @@ def enumerate_exceptional(P: ProjPoint, d: int, r: int, max_iter: int,
     records = []
     for L, preimage in groups.items():
         try:
-            hits = intersection_count(P, d, L, max_iter, budget, orbit, exact)
+            hits = intersection_count(P, d, L, max_iter, orbit, exact)
         except ExponentBudgetExceeded as exc:
             hits = -1
             # each basis entry as the report writes field values

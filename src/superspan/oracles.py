@@ -28,6 +28,8 @@ def power_diff_classify(d: int, bound: int) -> OracleResult:
     {a, y} = {b, x} for all exponents up to the bound."""
     if d < 2:
         raise ValueError("d must be >= 2")
+    if bound < 0:
+        raise ValueError("enumeration bound must be >= 0")
     if bound > 20:
         raise ValueError("enumeration bound capped at 20")
     powers = [d ** k for k in range(bound + 1)]

@@ -117,9 +117,12 @@ class ExactOrbit:
     """The exact orbit as a cache of coordinate powers: power(j, m) is
     alpha_j ** (d^m), computed once, as the largest cached alpha_j ** (d^k)
     with k < m raised to d^(m-k).  An index past the exponent budget
-    raises ExponentBudgetExceeded and stays out of the cache."""
+    raises ExponentBudgetExceeded and stays out of the cache.  The degree
+    must be at least 2."""
 
     def __init__(self, point: ProjPoint, d: int, budget: Optional[int] = None):
+        if d < 2:
+            raise ValueError("power map degree must be >= 2")
         self.point, self.degree, self.budget = point, d, budget
         self.powers = [{} for _ in point.coords]  # per coordinate: m -> its power
 
@@ -175,8 +178,6 @@ def iterate_matrix(P: ProjPoint, d: int, m: Sequence[int],
     m = validate_exp_tuple(m)
     if len(m) > len(P.coords):
         raise TupleTooLong(f"tuple of length {len(m)} in P^{P.dim}")
-    if d < 2:
-        raise ValueError("power map degree must be >= 2")
     return IterMatrix(ExactOrbit(P, d, budget), m)
 
 

@@ -24,7 +24,8 @@ from math import gcd
 from typing import List, Sequence, Tuple
 
 from .errors import DimensionMismatch, SoundnessError, Unsupported, ZeroCoordinate
-from .field import CYCLOTOMIC, RATIONAL, FieldValue
+from .field import CYCLOTOMIC, RATIONAL
+from .orbit import ProjPoint
 
 
 # ----------------------------------------------------------------------
@@ -113,27 +114,16 @@ def _valuation(n: int, b: int) -> int:
     return k
 
 
-def _as_fraction_list(P) -> List[Fraction]:
-    coords = getattr(P, "coords", P)
-    out = []
-    for c in coords:
-        if isinstance(c, FieldValue):
-            out.append(c.as_rational())
-        else:
-            out.append(Fraction(c))
-    return out
-
-
-def exponent_matrix(P) -> Tuple[List[int], List[List[int]], List[int]]:
-    """Returns (base, E, signs): base is the coprime_base of the
-    coordinates' numerators and denominators, E[i][j] the exponent of
-    base[j] in coordinate i and signs[i] is +-1.  Pairwise coprime
-    integers > 1 are multiplicatively independent, so E has the kernel
-    of the prime-exponent matrix.  The base of [1, 6, 36] is [6].
+def exponent_matrix(values: Sequence[Fraction]) -> Tuple[List[int], List[List[int]], List[int]]:
+    """Returns (base, E, signs) for a sequence of nonzero rationals: base
+    is the coprime_base of their numerators and denominators, E[i][j]
+    the exponent of base[j] in value i and signs[i] is +-1.  Pairwise
+    coprime integers > 1 are multiplicatively independent, so E has the
+    kernel of the prime-exponent matrix.  The base of [1, 6, 36] is [6].
     """
-    coords = _as_fraction_list(P)
+    coords = [Fraction(c) for c in values]
     if any(c == 0 for c in coords):
-        raise ZeroCoordinate("exponent matrix needs nonzero coordinates")
+        raise ZeroCoordinate("relation lattice needs nonzero coordinates")
     base = coprime_base([n for c in coords for n in (abs(c.numerator), c.denominator)])
     E = [[_valuation(abs(c.numerator), b) - _valuation(c.denominator, b) for b in base]
          for c in coords]
@@ -157,7 +147,7 @@ class RelLattice:
         return len(self.basis)
 
 
-def _cyclotomic_parts(P) -> Tuple[List[Fraction], List[int], int]:
+def _cyclotomic_parts(P: ProjPoint) -> Tuple[List[Fraction], List[int], int]:
     """Split coordinates q * zeta^a into (rationals q, torsion exponents a).
 
     Requires every coordinate to be a monomial in zeta; raises
@@ -178,19 +168,17 @@ def _cyclotomic_parts(P) -> Tuple[List[Fraction], List[int], int]:
     return rationals, torsion, ell
 
 
-def relation_lattice(P) -> RelLattice:
+def relation_lattice(P: ProjPoint) -> RelLattice:
     """R(P): integer vectors e with sum 0 and product of coordinate
     powers exactly 1, as a canonical HNF lattice."""
-    if hasattr(P, "ambient") and P.ambient.kind == CYCLOTOMIC:
+    if P.ambient.kind == CYCLOTOMIC:
         rationals, torsion, ell = _cyclotomic_parts(P)
-    elif hasattr(P, "ambient") and P.ambient.kind not in (RATIONAL, CYCLOTOMIC):
+    elif P.ambient.kind == RATIONAL:
+        rationals = [c.as_rational() for c in P.coords]
+        torsion, ell = None, None
+    else:
         raise Unsupported("relation lattice is computed exactly only for "
                           "rational or cyclotomic-monomial coordinates")
-    else:
-        rationals = _as_fraction_list(P)
-        torsion, ell = None, None
-    if any(q == 0 for q in rationals):
-        raise ZeroCoordinate("relation lattice needs nonzero coordinates")
 
     n_plus_1 = len(rationals)
     base, E, signs = exponent_matrix(rationals)

@@ -106,14 +106,14 @@ class TermVector:
 
 def det_terms(P: ProjPoint, d: int, m: Sequence[int],
               p: Optional[Sequence[int]] = None,
-              budget: Optional[int] = None,
               exact: Optional[ExactOrbit] = None) -> TermVector:
     """Signed permutation terms of the column-selected iterate minor.
 
     The signed sum over all of S_{r+1} equals the determinant of the
     (r+1)x(r+1) matrix with entry (i, j) = alpha_{p(j)} ** d^{m_i}.
     With exact, the orbit of P under the degree-d map, the powers are
-    read from its cache of coordinate powers.
+    read from its cache of coordinate powers, under its exponent budget;
+    without it they are computed afresh under the default budget.
     """
     if P.has_zero_coordinate():
         raise ZeroCoordinate("term vectors need all coordinates nonzero")
@@ -125,7 +125,7 @@ def det_terms(P: ProjPoint, d: int, m: Sequence[int],
     p = _validate_columns(p, r, n)
     # pow_table[i][k]: coordinate p(i) raised to d^{m_k}
     if exact is None:
-        powers = [checked_power(d, mi, budget) for mi in m]
+        powers = [checked_power(d, mi) for mi in m]
         pow_table = [[P.coords[p[i]] ** e for e in powers] for i in range(r + 1)]
     else:
         pow_table = [[exact.power(p[i], mk) for mk in m] for i in range(r + 1)]
@@ -285,8 +285,7 @@ def deleted_row_rank(A, t: int) -> int:
 
 
 def fingerprint(P: ProjPoint, d: int, m: Sequence[int],
-                partitions: Dict[Tuple[int, ...], TermPartition],
-                budget: Optional[int] = None) -> tuple:
+                partitions: Dict[Tuple[int, ...], TermPartition]) -> tuple:
     """Per-block projective normalization of the term values.
 
     For every column selection p (in sorted order) and every block of
@@ -300,7 +299,7 @@ def fingerprint(P: ProjPoint, d: int, m: Sequence[int],
         part = partitions[p]
         if part.r != r:
             raise ShapeMismatch(f"partition for p={p} indexes r={part.r}, tuple has r={r}")
-        tv = det_terms(P, d, m, p, budget)
+        tv = det_terms(P, d, m, p)
         values = tv.values()
         for block in part.blocks:
             lead_inv = values[block[0]].inverse()

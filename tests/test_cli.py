@@ -289,6 +289,34 @@ def test_verify_quadric_rejects_non_power_map_degree(capsys, d):
     assert "power map degree must be >= 2" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["quadric", "--point", "[1,6,2,3]", "--bound", "-1"], "must be at least 4"),
+    (["quadric", "--point", "[1,6,2,3]", "--bound", "3"], "must be at least 4"),
+    (["quadric", "--point", "[1,6,2,3]", "--d", "3", "--bound", "3"], "must be at least 4"),
+    (["lemmas", "--bound", "-3"], "must be >= 0"),
+    (["lemmas", "--d", "2", "--bound", "-3"], "must be >= 0"),
+])
+def test_verify_rejects_a_bound_that_leaves_nothing_to_check(capsys, argv, message):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("argv", [["lemmas", "--bound", "0"],
+                                  ["lemmas", "--d", "3", "--bound", "0"]])
+def test_verify_lemmas_smallest_bound(capsys, argv):
+    code, out, _ = run_cli(capsys, "verify", *argv)
+    assert code == 0
+    assert all(res["checked"] == 1 for res in json.loads(out)["results"])
+
+
+def test_detect_max_iter_below_r_reports_the_library_error(capsys):
+    code, out, err = run_cli(capsys, "detect", "--point", "[1,2,-3]", "--d", "2", "--r", "2",
+                             "--max-iter", "1")
+    assert code == 2 and out == ""
+    assert "cannot host an (r+1)-tuple" in err
+
+
 def test_analyze_degenerate_tuple(capsys):
     code, out, _ = run_cli(capsys, "analyze", "--point", "[1,2,-3]",
                            "--d", "2", "--m", "0,1,2")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 
 from superspan import detect, field, linalg
+from superspan import orbit as orbit_module
 from superspan.constructions import cyclotomic_family, sextic_field, sextic_point
 from superspan.detect import (
     DEFAULT_FILTER_PRIME_COUNT,
@@ -115,6 +116,20 @@ def test_r_out_of_range():
 def test_zero_coordinate_rejected():
     with pytest.raises(ZeroCoordinate):
         enumerate_exceptional(ProjPoint.rational([1, 0, 3]), 2, 2, 3)
+
+
+def test_degree_below_2_fails_before_any_prime_is_drawn(monkeypatch):
+    calls = []
+    root = orbit_module.root_mod_prime
+
+    def counting_root(*args):
+        calls.append(args)
+        return root(*args)
+
+    monkeypatch.setattr(orbit_module, "root_mod_prime", counting_root)
+    with pytest.raises(ValueError, match="degree must be >= 2"):
+        enumerate_exceptional(sextic_point(), 1, 2, 6)
+    assert calls == []
 
 
 def test_budget_skips_are_reported():
@@ -339,9 +354,9 @@ def test_modular_count_keeps_budget_errors():
     P = ProjPoint.rational([1, 2, -3])
     L = span_canonical([iterate(P, 2, 0), iterate(P, 2, 1)])
     orbit = ModularOrbit(P, 2, stream_primes(3), 3)
-    assert intersection_count(P, 2, L, 60, budget=4096, orbit=orbit) == 3
+    assert intersection_count(P, 2, L, 60, orbit=orbit, exact=ExactOrbit(P, 2, 4096)) == 3
     with pytest.raises(ExponentBudgetExceeded):
-        intersection_count(P, 2, L, 14, budget=4096)
+        intersection_count(P, 2, L, 14, exact=ExactOrbit(P, 2, 4096))
 
 
 # ----------------------------------------------------------------------

@@ -92,6 +92,12 @@ def test_iterate_matrix_rejects_non_power_map_degree():
         iterate_matrix(ProjPoint.rational([1, 2, 3]), 1, (0, 1))
 
 
+@pytest.mark.parametrize("d", [1, 0])
+def test_exact_orbit_rejects_non_power_map_degree(d):
+    with pytest.raises(ValueError, match="degree must be >= 2"):
+        ExactOrbit(ProjPoint.rational([1, 2, 3]), d)
+
+
 def test_exp_tuple_validation():
     assert validate_exp_tuple([0, 3, 5]) == (0, 3, 5)
     with pytest.raises(ValueError):

@@ -271,7 +271,7 @@ def test_relation_lattice_matches_exhaustive_check(coords):
     assert all(b > 1 for b in base) and all(gcd(a, b) == 1 for a, b in combinations(base, 2))
     for q, row in zip(coords, E):
         assert prod((Fraction(b) ** e for b, e in zip(base, row)), start=Fraction(1)) == abs(q)
-    L = relation_lattice(coords)
+    L = relation_lattice(ProjPoint.rational(coords))
     relations_found = set(brute_force_relations(coords, bound=2))
     for e in product(range(-2, 3), repeat=len(coords)):
         if not sum(e):

@@ -7,6 +7,7 @@ from hypothesis import assume, event, given, settings, strategies as st
 
 from superspan import field, linalg
 from superspan.errors import (
+    ExponentBudgetExceeded,
     IndexOutOfRange,
     NonVanishingTotal,
     ShapeMismatch,
@@ -14,7 +15,7 @@ from superspan.errors import (
     ZeroCoordinate,
 )
 from superspan.oracles import vanishing_subsum_bruteforce
-from superspan.orbit import ProjPoint, iterate_matrix
+from superspan.orbit import ExactOrbit, ProjPoint, iterate_matrix
 from superspan.subsum import (
     TermPartition,
     TermVector,
@@ -91,6 +92,12 @@ def test_det_terms_validates_columns():
         det_terms(P123, 2, (0, 1), p=(2, 1))
     with pytest.raises(ShapeMismatch):
         det_terms(P123, 2, (0, 1), p=(0, 9))
+
+
+def test_det_terms_reads_the_budget_of_the_orbit():
+    exact = ExactOrbit(P12m3, 2, 2 ** 10)
+    with pytest.raises(ExponentBudgetExceeded):
+        det_terms(P12m3, 2, (0, 1, 30), exact=exact)
 
 
 def test_bullet_partition_r1():
