@@ -221,12 +221,15 @@ def quadric_case_probe(P: ProjPoint, d: int, bound: int) -> dict:
     no fixed point (otherwise the tuples would be forced equal), and
     inside the lattice only as the zero vector when they do share one.
     Any violation is reported as a counterexample.  The bound must be at
-    least 4, so that two such tuples exist.
+    least 4, so that two such tuples exist, and at most 12: the work grows
+    like C(bound + 1, 4)^2 * 576, about 2.3-fold per step.
     """
     if d < 2:
         raise ValueError("power map degree must be >= 2")
     if bound < 4:
         raise ValueError(f"bound {bound} must be at least 4, or no two 4-tuples exist")
+    if bound > 12:
+        raise ValueError(f"bound {bound} is capped at 12")
     coords = [c.as_rational() for c in P.coords]
     if len(coords) != 4:
         raise OffQuadric("quadric probe expects a point of P^3")

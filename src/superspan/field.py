@@ -15,7 +15,9 @@ reduce_mod_prime maps a value into F_p[x]/(f mod p), root_mod_prime
 finds a root a of f mod p, and evaluating the reduction at a is a ring
 homomorphism to F_p, where powers are plain builtin pow calls.  Both
 read f mod p and its squarefree verdict from one cache, filled once per
-(minimal polynomial, prime).
+(minimal polynomial, prime).  For Q(zeta_ell) root_mod_prime finds the
+root in integers alone, from one primitive ell-th root of unity mod p
+(Cohen, A Course in Computational Algebraic Number Theory, 1.6).
 ModularResidue still carries its quotient-ring arithmetic, which the
 filter no longer uses.
 """
@@ -608,6 +610,13 @@ def root_mod_prime(ambient: FieldDesc, p: int) -> Optional[int]:
     None when it has no root there; 0 (the trivial root) for the
     rationals.
 
+    For Q(zeta_ell) and p != ell no polynomial arithmetic is needed: the
+    roots of Phi_ell mod p are the elements of order ell in F_p^*, which
+    exist exactly when ell | p - 1, and they are the powers w, ..., w^(ell-1)
+    of any one of them, w = g^((p-1)/ell) != 1 (Cohen, A Course in
+    Computational Algebraic Number Theory, 1.6).  Other fields, and
+    p = ell, go through modp.poly_roots.
+
     Evaluating the reduction of a value at this root is a ring
     homomorphism to F_p.  Raises BadPrime when p is not prime or divides
     a denominator of the minimal polynomial.
@@ -615,5 +624,13 @@ def root_mod_prime(ambient: FieldDesc, p: int) -> Optional[int]:
     fmodp, _ = _min_poly_mod(ambient.min_poly, p)
     if fmodp is None:
         return 0
-    roots = modp.poly_roots(fmodp, p)
-    return roots[0] if roots else None
+    ell = ambient.cyclotomic_order
+    if ell is None or p == ell:
+        roots = modp.poly_roots(fmodp, p)
+        return roots[0] if roots else None
+    if (p - 1) % ell:
+        return None
+    g = 2
+    while (w := pow(g, (p - 1) // ell, p)) == 1:
+        g += 1
+    return min(pow(w, k, p) for k in range(1, ell))

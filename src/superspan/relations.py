@@ -171,6 +171,8 @@ def _cyclotomic_parts(P: ProjPoint) -> Tuple[List[Fraction], List[int], int]:
 def relation_lattice(P: ProjPoint) -> RelLattice:
     """R(P): integer vectors e with sum 0 and product of coordinate
     powers exactly 1, as a canonical HNF lattice."""
+    if P.has_zero_coordinate():
+        raise ZeroCoordinate("relation lattice needs nonzero coordinates")
     if P.ambient.kind == CYCLOTOMIC:
         rationals, torsion, ell = _cyclotomic_parts(P)
     elif P.ambient.kind == RATIONAL:

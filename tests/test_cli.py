@@ -133,6 +133,18 @@ def test_point_file_array_reads_field(tmp_path, capsys):
     assert from_file == inline
 
 
+@pytest.mark.parametrize("field_args, coords", [
+    ((), "[1,0]"),
+    (("--field", "cyclotomic:5"), '[["1"],["0"]]'),
+])
+def test_relations_zero_coordinate(capsys, field_args, coords):
+    # a zero coordinate is reported as such for every field, before a
+    # cyclotomic coordinate is split into q * zeta^a
+    code, out, err = run_cli(capsys, "relations", *field_args, "--point", coords)
+    assert code == 2 and out == ""
+    assert "relation lattice needs nonzero coordinates" in err
+
+
 def test_point_file_unknown_field_kind(tmp_path, capsys):
     path = tmp_path / "point.json"
     path.write_text(json.dumps({"field": {"kind": "cyclotomc", "ell": 5},
@@ -302,6 +314,14 @@ def test_verify_rejects_a_bound_that_leaves_nothing_to_check(capsys, argv, messa
     assert message in err
 
 
+def test_verify_quadric_bound_is_capped(capsys):
+    # the work grows about 2.3-fold per step of the bound
+    code, out, err = run_cli(capsys, "verify", "quadric", "--point", "[1,6,2,3]",
+                             "--bound", "13")
+    assert code == 2 and out == ""
+    assert "capped at 12" in err
+
+
 @pytest.mark.parametrize("argv", [["lemmas", "--bound", "0"],
                                   ["lemmas", "--d", "3", "--bound", "0"]])
 def test_verify_lemmas_smallest_bound(capsys, argv):
@@ -395,6 +415,17 @@ def test_detect_golden_sextic_report(capsys):
     code, out, _ = run_cli(capsys, "detect", "--field", "numberfield:1,3,5/2,0,5/2,3,1",
                            "--point", '[["0","1"],["-1","-1"],["1"]]',
                            "--d", "2", "--r", "2", "--max-iter", "6")
+    assert code == 0
+    assert out == golden.read_text()
+
+
+def test_detect_golden_cyclotomic_seed_report(capsys):
+    """The filter primes drawn for Q(zeta_7) at seed 1 are pinned, so a
+    change in how the root of Phi_7 mod p is found cannot move them."""
+    golden = Path(__file__).with_name("golden") / "detect_1_z7_2_r2_M10_seed1.json"
+    code, out, _ = run_cli(capsys, "detect", "--field", "cyclotomic:7",
+                           "--point", '[["1"],["0","1"],["2"]]',
+                           "--d", "3", "--r", "2", "--max-iter", "10", "--seed", "1")
     assert code == 0
     assert out == golden.read_text()
 

@@ -134,6 +134,60 @@ def test_root_mod_prime_rejects():
     with pytest.raises(BadPrime):
         field.root_mod_prime(K6, 2)  # 5/2 in the sextic's minimal polynomial
     assert field.root_mod_prime(Q, 10007) == 0
+    with pytest.raises(BadPrime):
+        field.root_mod_prime(C5, 10001)  # 10001 = 73 * 137 is 1 mod 5 but not prime
+
+
+ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+def least_root_by_poly_roots(ambient, p):
+    """root_mod_prime through modp.poly_roots, as for a non-cyclotomic f."""
+    roots = modp.poly_roots(poly_mod(ambient, p), p)
+    return roots[0] if roots else None
+
+
+def stream_prime(seed, k):
+    return next(islice(_prime_stream(seed), k, None))
+
+
+@PROPERTY
+@given(st.sampled_from(ODD_PRIMES), st.builds(stream_prime, st.integers(0, 10 ** 6),
+                                               st.integers(0, 20)))
+@example(3, 2)
+@example(31, 2)
+@example(5, 5)      # Phi_5 = (x - 1)^4 mod 5: the root 1, later rejected as not squarefree
+@example(31, 31)
+@example(5, 11)     # 11 = 1 mod 5
+@example(31, 311)   # 311 = 1 mod 31
+@example(5, 13)     # 13 = 3 mod 5
+@example(7, 19)     # 19 = 5 mod 7
+def test_cyclotomic_root_matches_poly_roots(ell, p):
+    """For Q(zeta_ell) the least root of Phi_ell mod p, found from one
+    primitive ell-th root of unity, is the least root poly_roots finds."""
+    event("p = 1 mod ell" if p % ell == 1 else "p != 1 mod ell")
+    K = field.cyclotomic_field(ell)
+    assert field.root_mod_prime(K, p) == least_root_by_poly_roots(K, p)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(ODD_PRIMES[:5]), st.integers(0, 10 ** 6))
+@example(5, 0)
+@example(7, 1)
+def test_cyclotomic_orbit_draws_as_with_poly_roots(ell, seed):
+    """The filter primes and the bad primes with their reasons do not
+    depend on how the root of Phi_ell mod p is found."""
+    K = field.cyclotomic_field(ell)
+    zeta = K.gen()
+    P = ProjPoint(K, [1, zeta, zeta - 3, 2])
+    orbit = ModularOrbit(P, 2, _prime_stream(seed), 3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orbit_module, "root_mod_prime", least_root_by_poly_roots)
+        reference = ModularOrbit(P, 2, _prime_stream(seed), 3)
+    assert orbit.primes == reference.primes
+    assert orbit.bad_primes == reference.bad_primes
+    assert [orbit.row(p, 3) for p in orbit.primes] == \
+        [reference.row(p, 3) for p in reference.primes]
 
 
 @PROPERTY
