@@ -36,7 +36,7 @@ from .errors import BadPrime, ExponentBudgetExceeded, Unsupported, ZeroCoordinat
 from .field import is_prime
 from .linalg import (Subspace, echelon_mod_p, modular_rank_filter, residual_mod_p,
                      span_canonical, super_rank)
-from .orbit import ExactOrbit, ModularOrbit, ProjPoint
+from .orbit import ExactOrbit, ModularOrbit, ProjPoint, check_orbits
 
 DEFAULT_FILTER_PRIME_COUNT = 3
 DEFAULT_SEED = 0
@@ -93,7 +93,9 @@ def intersection_count(P: ProjPoint, d: int, L: Subspace, max_iter: int,
     exact orbit or else from a fresh one under the default budget, so
     the exponent budget limits only them: ExponentBudgetExceeded means
     that an iterate past the budget could not be certified off L.
+    Raises ValueError when orbit or exact is not the orbit of P under d.
     """
+    check_orbits(P, d, orbit, exact)
     if exact is None:
         exact = ExactOrbit(P, d)
     reduced = {}  # usable prime -> echelon basis of L mod p

@@ -18,8 +18,9 @@ read f mod p and its squarefree verdict from one cache, filled once per
 (minimal polynomial, prime).  For Q(zeta_ell) root_mod_prime finds the
 root in integers alone, from one primitive ell-th root of unity mod p
 (Cohen, A Course in Computational Algebraic Number Theory, 1.6).
-ModularResidue still carries its quotient-ring arithmetic, which the
-filter no longer uses.
+The filter no longer uses ModularResidue; it keeps only the ring
+operations that tests read and the benchmark's tracer wraps, and goes
+with the next change to the benchmark.
 """
 
 from __future__ import annotations
@@ -60,18 +61,11 @@ def _ptrim(a: list) -> list:
     return a
 
 
-def _padd(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
+def _psub(a, b):
+    out = list(a) + [Fraction(0)] * (len(b) - len(a))
     for i, c in enumerate(b):
-        out[i] += c
+        out[i] -= c
     return _ptrim(out)
-
-
-def _pneg(a):
-    return [-c for c in a]
 
 
 def _pmul(a, b):
@@ -116,16 +110,14 @@ def _pdivmod(a, b):
 
 
 def _pxgcd(a, b):
-    # returns (g, s, t) with s*a + t*b = g over Q[x]
+    # returns (g, s) with s*a = g (mod b) over Q[x]
     r0, r1 = list(a), list(b)
     s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
     while r1:
         q, r = _pdivmod(r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, _padd(s0, _pneg(_pmul(q, s1)))
-        t0, t1 = t1, _padd(t0, _pneg(_pmul(q, t1)))
-    return r0, s0, t0
+        s0, s1 = s1, _psub(s0, _pmul(q, s1))
+    return r0, s0
 
 
 # ----------------------------------------------------------------------
@@ -400,7 +392,7 @@ class FieldValue:
         if self.ambient.degree == 1:
             a, b = self.den, self.num[0]
             return _value(self.ambient, (-a,) if b < 0 else (a,), abs(b))
-        g, s, _ = _pxgcd(_ptrim(list(self.coeffs)), list(self.ambient.min_poly))
+        g, s = _pxgcd(_ptrim(list(self.coeffs)), list(self.ambient.min_poly))
         if len(g) != 1:
             # gcd has positive degree: min_poly is reducible and self is a
             # zero divisor; report rather than return a wrong value
@@ -480,7 +472,8 @@ class ModularResidue:
     modulus is the monic reduction of the ambient minimal polynomial
     (None when the ambient is the rationals, so the quotient is F_p).
     Exponentiation reduces the exponent modulo the unit-group exponent,
-    shifted so that zero divisors are still handled correctly.
+    shifted so that zero divisors are still handled correctly; e < 0 is
+    refused.
     """
 
     prime: int
@@ -491,9 +484,6 @@ class ModularResidue:
         if self.prime != other.prime or self.modulus != other.modulus:
             raise MixedAmbients("residues from different modular quotients")
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def one(self) -> "ModularResidue":
         c = (1,) + (0,) * (len(self.coeffs) - 1)
         return ModularResidue(self.prime, c, self.modulus)
@@ -502,13 +492,6 @@ class ModularResidue:
         self._check(other)
         return ModularResidue(self.prime,
                               tuple((a + b) % self.prime
-                                    for a, b in zip(self.coeffs, other.coeffs)),
-                              self.modulus)
-
-    def __sub__(self, other):
-        self._check(other)
-        return ModularResidue(self.prime,
-                              tuple((a - b) % self.prime
                                     for a, b in zip(self.coeffs, other.coeffs)),
                               self.modulus)
 
@@ -522,20 +505,6 @@ class ModularResidue:
         red = modp.poly_mod(prod, list(self.modulus), p)
         red += [0] * (len(self.coeffs) - len(red))
         return ModularResidue(p, tuple(red), self.modulus)
-
-    def inverse(self) -> "ModularResidue":
-        p = self.prime
-        if self.is_zero():
-            raise DivisionByZero("inverse of zero residue")
-        if self.modulus is None:
-            return ModularResidue(p, (pow(self.coeffs[0], p - 2, p),), None)
-        g, s = modp.poly_xgcd(modp.poly_trim(list(self.coeffs)), list(self.modulus), p)
-        if len(g) != 1:
-            raise NonInvertible("residue is a zero divisor mod p")
-        ginv = pow(g[0], p - 2, p)
-        inv = modp.poly_mod([(c * ginv) % p for c in s], list(self.modulus), p)
-        inv += [0] * (len(self.coeffs) - len(inv))
-        return ModularResidue(p, tuple(inv), self.modulus)
 
     def _pow_raw(self, e: int) -> "ModularResidue":
         result = self.one()
@@ -552,7 +521,7 @@ class ModularResidue:
         if e == 0:
             return self.one()
         if e < 0:
-            return self.inverse() ** (-e)
+            raise ValueError("residues have no inverse: the exponent needs e >= 0")
         deg = 1 if self.modulus is None else len(self.modulus) - 1
         exponent_bound = _unit_group_exponent(self.prime, deg)
         # shift by one so zero-divisor components (which need e >= 1) are safe
@@ -584,7 +553,7 @@ def _min_poly_mod(min_poly: Optional[tuple], p: int) -> tuple:
         if c.denominator % p == 0:
             raise BadPrime(f"denominator of minimal polynomial collides with {p}")
         fmodp.append((c.numerator * pow(c.denominator % p, p - 2, p)) % p)
-    g, _ = modp.poly_xgcd(fmodp, modp.poly_deriv(fmodp, p), p)
+    g = modp.poly_gcd(fmodp, modp.poly_deriv(fmodp, p), p)
     return tuple(fmodp), len(g) == 1
 
 

@@ -33,6 +33,8 @@ def encode_rational(q: Fraction) -> str:
 
 
 def decode_rational(s) -> Fraction:
+    if isinstance(s, bool):  # a bool is an int to Python, but not a number in JSON
+        raise SuperspanError(f"expected a rational number, got {str(s).lower()}")
     if isinstance(s, int):
         return Fraction(s)
     return Fraction(str(s))

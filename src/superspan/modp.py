@@ -60,24 +60,15 @@ def poly_sub(a, b, p):
     return poly_trim(out)
 
 
-def poly_xgcd(a, b, p):
-    # returns (g, s) with s*a = g (mod b); g is the gcd up to a unit
-    r0, r1 = list(a), list(b)
-    s0, s1 = [1], []
-    while r1:
-        q, r = poly_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly_sub(s0, poly_mul(q, s1, p), p)
-    return r0, s0
-
-
 def poly_deriv(a, p):
     return poly_trim([(i * c) % p for i, c in enumerate(a)][1:])
 
 
 def poly_gcd(a, b, p):
-    # the monic gcd
-    g, _ = poly_xgcd(a, b, p)
+    # the monic gcd, by Euclid on remainders alone
+    g, r = list(a), list(b)
+    while r:
+        g, r = r, poly_divmod(g, r, p)[1]
     inv_lead = pow(g[-1], p - 2, p)
     return [(c * inv_lead) % p for c in g]
 

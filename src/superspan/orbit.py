@@ -113,6 +113,13 @@ def iterate(P: ProjPoint, d: int, m: int,
     return ProjPoint(P.ambient, [c ** e for c in P.coords])
 
 
+def check_orbits(P: ProjPoint, d: int, *orbits) -> None:
+    """Raise ValueError unless each orbit given (None is skipped) is the orbit
+    of P under the degree-d map: another orbit's values say nothing of P."""
+    if any(o is not None and (o.point != P or o.degree != d) for o in orbits):
+        raise ValueError(f"an orbit given is not the orbit of {P} under degree {d}")
+
+
 class ExactOrbit:
     """The exact orbit as a cache of coordinate powers: power(j, m) is
     alpha_j ** (d^m), computed once, as the largest cached alpha_j ** (d^k)

@@ -32,7 +32,7 @@ from .errors import (
     TooManyTerms,
     ZeroCoordinate,
 )
-from .orbit import ExactOrbit, ProjPoint, checked_power, validate_exp_tuple
+from .orbit import ExactOrbit, ProjPoint, check_orbits, checked_power, validate_exp_tuple
 
 Perm = Tuple[int, ...]
 
@@ -114,6 +114,7 @@ def det_terms(P: ProjPoint, d: int, m: Sequence[int],
     With exact, the orbit of P under the degree-d map, the powers are
     read from its cache of coordinate powers, under its exponent budget;
     without it they are computed afresh under the default budget.
+    Raises ValueError when exact is not the orbit of P under d.
     """
     if P.has_zero_coordinate():
         raise ZeroCoordinate("term vectors need all coordinates nonzero")
@@ -128,6 +129,7 @@ def det_terms(P: ProjPoint, d: int, m: Sequence[int],
         powers = [checked_power(d, mi) for mi in m]
         pow_table = [[P.coords[p[i]] ** e for e in powers] for i in range(r + 1)]
     else:
+        check_orbits(P, d, exact)
         pow_table = [[exact.power(p[i], mk) for mk in m] for i in range(r + 1)]
     entries = []
     for sigma in symmetric_group(r):

@@ -154,6 +154,22 @@ def test_point_file_unknown_field_kind(tmp_path, capsys):
     assert "unknown field kind 'cyclotomc'" in err
 
 
+def test_boolean_coordinate_is_not_a_number(capsys):
+    # true is an int to Python; read as 1 it would answer for [1,2,-3]
+    code, out, err = run_cli(capsys, "relations", "--point", "[true,2,-3]")
+    assert code == 2 and out == ""
+    assert "expected a rational number, got true" in err
+
+
+def test_boolean_in_min_poly_is_not_a_number(tmp_path, capsys):
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"field": {"kind": "number_field", "min_poly": [True, 0, 1]},
+                                "coords": [["1"], ["0", "1"]]}))
+    code, out, err = run_cli(capsys, "relations", "--point-file", str(path))
+    assert code == 2 and out == ""
+    assert "expected a rational number, got true" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["relations", "--point", "[1,2,3,6]", "--budget", "4096"],
     ["relations", "--point", "[1,2,3,6]", "--format", "json"],

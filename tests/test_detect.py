@@ -348,6 +348,23 @@ def test_denominator_divisible_by_filter_prime(materialized, primes, exact_indic
     assert indices(materialized) == exact_indices
 
 
+@pytest.mark.parametrize("coords, d", [([1, 5, 7], 2), ([1, 2, -3], 3), ([1, 2], 2)])
+def test_intersection_count_rejects_another_orbit(coords, d):
+    # read from another point's or degree's rows the count would be 0 or 1,
+    # not 3, and another dimension's rows raised IndexError
+    P = ProjPoint.rational([1, 2, -3])
+    L = span_canonical([iterate(P, 2, 0), iterate(P, 2, 1)])
+    other = ProjPoint.rational(coords)
+    with pytest.raises(ValueError, match="not the orbit of"):
+        intersection_count(P, 2, L, 3, orbit=ModularOrbit(other, d, stream_primes(3), 3))
+    with pytest.raises(ValueError, match="not the orbit of"):
+        intersection_count(P, 2, L, 3, exact=ExactOrbit(other, d))
+    # an equal point built afresh is the same orbit
+    same = ProjPoint.rational([1, 2, -3])
+    assert intersection_count(P, 2, L, 3, orbit=ModularOrbit(same, 2, stream_primes(3), 3),
+                              exact=ExactOrbit(same, 2)) == 3
+
+
 def test_modular_count_keeps_budget_errors():
     # the filter primes certify every iterate past 2 off the line, so only
     # members 0, 1 and 2 are exact work; without them every index is

@@ -198,6 +198,41 @@ def test_residue_pow_tower():
     assert a.pow_tower(2, 50).coeffs == (expected,)
 
 
+def test_overlong_coefficients_reduce_mod_f():
+    assert C5.element([0, 0, 0, 0, 0, 1]) == C5.one()
+    # z^5 = 1, z^6 = z and z^4 = -1 - z - z^2 - z^3
+    assert C5.element([1, 2, 3, 4, 5, 6, 7]) == C5.element([2, 4, -2, -1])
+    K = field.number_field(SEXTIC)
+    assert K.element([0] * 7 + [1]) == K.gen() ** 7
+    assert K.element([Fraction(1, 2)] * 8) == sum(K.gen() ** k for k in range(8)) / 2
+
+
+def test_too_many_rational_coefficients():
+    with pytest.raises(ValueError, match="too many coefficients"):
+        Q.element([1, 2])
+
+
+@pytest.mark.parametrize("K", [Q, C5, field.number_field(SEXTIC)])
+def test_negative_power_is_power_of_inverse(K):
+    rng = random.Random(13)
+    for _ in range(10):
+        a = field.FieldValue(K, [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                                 for _ in range(K.degree)])
+        if not a:
+            continue
+        k = rng.randint(1, 6)
+        assert a ** -k == a.inverse() ** k
+        assert a ** -k * a ** k == 1
+
+
+@pytest.mark.parametrize("a", [Q.from_rational(3), C5.gen() + 1, C5.zero()])
+def test_residue_negative_power_is_rejected(a):
+    r = field.reduce_mod_prime(a, 11)
+    with pytest.raises(ValueError, match="e >= 0"):
+        r ** -1
+    assert r ** 0 == r.one()
+
+
 def test_is_prime():
     assert field.is_prime(2) and field.is_prime(10007)
     assert not field.is_prime(1) and not field.is_prime(10001)

@@ -7,7 +7,7 @@ from itertools import chain, islice, repeat
 from math import log
 
 import pytest
-from hypothesis import event, example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from superspan import field, linalg, modp, orbit as orbit_module
 from superspan.constructions import sextic_field, sextic_point
@@ -126,6 +126,44 @@ def test_roots_of_random_polynomials(coeffs, p):
     roots = [x for x in range(p) if evaluate(f, x, p) == 0]
     assert modp.poly_roots(f, p) == roots
     assert field.root_mod_prime(K, p) == (roots[0] if roots else None)
+
+
+# small primes, where common factors are frequent, and 30-bit ones as drawn
+# by the filter
+GCD_PRIMES = [2, 3, 5, 7, 13] + [p for p in range((1 << 30) - 200, 1 << 30) if field.is_prime(p)]
+
+
+@st.composite
+def gcd_cases(draw):
+    """(a, b, p): two polynomials over F_p with a drawn common factor, a
+    nonzero."""
+    p = draw(st.sampled_from(GCD_PRIMES))
+    coeffs = st.integers(0, p - 1)
+
+    def poly(min_size):
+        return modp.poly_trim(draw(st.lists(coeffs, min_size=min_size, max_size=5)))
+
+    common, a, b = poly(1), poly(1), poly(0)
+    assume(common and a)
+    return modp.poly_mul(common, a, p), modp.poly_mul(common, b, p), p
+
+
+@PROPERTY
+@given(gcd_cases())
+@example(([2, 2], [], 7))           # gcd(f, 0) is f made monic
+@example(([3], [0, 1], 5))          # a unit: the gcd is 1
+@example(([6, 5, 1], [2, 3, 1], 1073741789))  # (x+2)(x+3) and (x+1)(x+2)
+def test_poly_gcd_is_monic_common_divisor(case):
+    a, b, p = case
+    g = modp.poly_gcd(a, b, p)
+    assert g and g[-1] == 1
+    assert all(0 <= c < p for c in g)
+    cofactors = []
+    for f in (a, b):
+        q, r = modp.poly_divmod(f, g, p)
+        assert r == []
+        cofactors.append(q)
+    assert modp.poly_gcd(*cofactors, p) == [1]
 
 
 def test_root_mod_prime_rejects():

@@ -435,3 +435,13 @@ def test_finest_zero_partition_matches_bruteforce(tv):
         assert not tv.block_sum(block)
         assert not any(s < set(block) for s in zero_subsets)
     event(f"{len(found.blocks)} blocks, {len(zero_subsets)} vanishing subsums")
+
+
+@pytest.mark.parametrize("coords, d", [([1, 5, 7], 2), ([1, 2, -3], 3), ([1, 2], 2)])
+def test_det_terms_rejects_another_orbit(coords, d):
+    # the rows of another orbit give terms whose sum is not P's determinant
+    P = ProjPoint.rational([1, 2, -3])
+    with pytest.raises(ValueError, match="not the orbit of"):
+        det_terms(P, 2, (0, 1, 2), exact=ExactOrbit(ProjPoint.rational(coords), d))
+    tv = det_terms(P, 2, (0, 1, 2), None, ExactOrbit(ProjPoint.rational([1, 2, -3]), 2))
+    assert tv.signed_sum().is_zero()
