@@ -41,7 +41,8 @@ class ZeroToZeroPower(SuperspanError, ArithmeticError):
 
 
 class BadPrime(SuperspanError, ValueError):
-    """Prime collides with a denominator or gives a non-squarefree modulus."""
+    """Prime is not prime, collides with a denominator, or is one mod
+    which the minimal polynomial has no root."""
 
 
 class AllPrimesBad(SuperspanError, ValueError):

@@ -10,17 +10,17 @@ reduced through the rows x^k mod f, k >= deg(f), computed once per
 minimal polynomial.  All operations are pure and every value is
 immutable, so values may be shared freely.
 
-Reduction modulo a machine-word prime feeds the fast rank filter:
-reduce_mod_prime maps a value into F_p[x]/(f mod p), root_mod_prime
-finds a root a of f mod p, and evaluating the reduction at a is a ring
-homomorphism to F_p, where powers are plain builtin pow calls.  Both
-read f mod p and its squarefree verdict from one cache, filled once per
-(minimal polynomial, prime).  For Q(zeta_ell) root_mod_prime finds the
-root in integers alone, from one primitive ell-th root of unity mod p
-(Cohen, A Course in Computational Algebraic Number Theory, 1.6).
-The filter no longer uses ModularResidue; it keeps only the ring
-operations that tests read and the benchmark's tracer wraps, and goes
-with the next change to the benchmark.
+Reduction modulo a machine-word prime feeds the fast rank filter.
+root_mod_prime finds the least root a of f mod p, once per (field,
+prime), and reduce_mod_prime maps a value to F_p by reducing its
+coefficients mod p and evaluating them at a.  That is a ring
+homomorphism K -> F_p for any root of f mod p, squarefree or not, so a
+prime is usable exactly when f has a root mod p and p divides no
+denominator.  For Q(zeta_ell) root_mod_prime finds the root in integers
+alone, from one primitive ell-th root of unity mod p (Cohen, A Course
+in Computational Algebraic Number Theory, 1.6).  reduce_mod_prime
+returns the image as a ModularResidue, an F_p value with its prime,
+whose powers are builtin pow calls with the exponent reduced by Fermat.
 """
 
 from __future__ import annotations
@@ -456,150 +456,95 @@ def _canonical(ambient: FieldDesc, num: list, den: int) -> FieldValue:
 # reduction modulo a prime
 # ----------------------------------------------------------------------
 
-def _unit_group_exponent(p: int, degree: int) -> int:
-    """A multiple of every unit order in F_p[x]/(f), f squarefree of the
-    given degree: lcm(p^j - 1) over j = 1..degree."""
-    e = 1
-    for j in range(1, degree + 1):
-        e = math.lcm(e, p ** j - 1)
-    return e
-
-
 @dataclass(frozen=True)
 class ModularResidue:
-    """Image of a field element in F_p[x]/(f mod p).
+    """The image of a field element in F_p, as reduce_mod_prime gives it.
 
-    modulus is the monic reduction of the ambient minimal polynomial
-    (None when the ambient is the rationals, so the quotient is F_p).
-    Exponentiation reduces the exponent modulo the unit-group exponent,
-    shifted so that zero divisors are still handled correctly; e < 0 is
-    refused.
+    Powers go by Fermat: v^e = v^((e - 1) mod (p - 1) + 1) for e >= 1,
+    which keeps a zero value 0; e < 0 is refused.
     """
 
     prime: int
-    coeffs: tuple
-    modulus: Optional[tuple]
+    value: int
 
     def _check(self, other: "ModularResidue"):
-        if self.prime != other.prime or self.modulus != other.modulus:
-            raise MixedAmbients("residues from different modular quotients")
-
-    def one(self) -> "ModularResidue":
-        c = (1,) + (0,) * (len(self.coeffs) - 1)
-        return ModularResidue(self.prime, c, self.modulus)
+        if self.prime != other.prime:
+            raise MixedAmbients("residues modulo different primes")
 
     def __add__(self, other):
         self._check(other)
-        return ModularResidue(self.prime,
-                              tuple((a + b) % self.prime
-                                    for a, b in zip(self.coeffs, other.coeffs)),
-                              self.modulus)
+        return ModularResidue(self.prime, (self.value + other.value) % self.prime)
 
     def __mul__(self, other):
         self._check(other)
-        p = self.prime
-        if self.modulus is None:
-            return ModularResidue(p, ((self.coeffs[0] * other.coeffs[0]) % p,), None)
-        prod = modp.poly_mul(modp.poly_trim(list(self.coeffs)),
-                             modp.poly_trim(list(other.coeffs)), p)
-        red = modp.poly_mod(prod, list(self.modulus), p)
-        red += [0] * (len(self.coeffs) - len(red))
-        return ModularResidue(p, tuple(red), self.modulus)
-
-    def _pow_raw(self, e: int) -> "ModularResidue":
-        result = self.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return ModularResidue(self.prime, self.value * other.value % self.prime)
 
     def __pow__(self, e: int) -> "ModularResidue":
-        if e == 0:
-            return self.one()
         if e < 0:
             raise ValueError("residues have no inverse: the exponent needs e >= 0")
-        deg = 1 if self.modulus is None else len(self.modulus) - 1
-        exponent_bound = _unit_group_exponent(self.prime, deg)
-        # shift by one so zero-divisor components (which need e >= 1) are safe
-        e_red = (e - 1) % exponent_bound + 1
-        return self._pow_raw(e_red)
+        p = self.prime
+        return ModularResidue(p, pow(self.value, (e - 1) % (p - 1) + 1, p) if e else 1)
 
     def pow_tower(self, d: int, m: int) -> "ModularResidue":
         """self ** (d**m) without materializing d**m."""
         if d < 1 or m < 0:
             raise ValueError("tower exponent needs d >= 1, m >= 0")
-        deg = 1 if self.modulus is None else len(self.modulus) - 1
-        exponent_bound = _unit_group_exponent(self.prime, deg)
-        e_red = (pow(d, m, exponent_bound) - 1) % exponent_bound + 1
-        return self._pow_raw(e_red)
+        p = self.prime
+        return ModularResidue(p, pow(self.value, pow(d, m, p - 1) or p - 1, p))
 
 
 @lru_cache(maxsize=1024)
-def _min_poly_mod(min_poly: Optional[tuple], p: int) -> tuple:
-    """(f mod p, whether it is squarefree) for the minimal polynomial f,
-    computed once per (f, p); (None, True) for the rationals.
-
-    Raises BadPrime when p is not prime or divides a denominator of f."""
-    if p < 2 or not is_prime(p):
-        raise BadPrime(f"{p} is not prime")
-    if min_poly is None:
-        return None, True
-    fmodp = []
-    for c in min_poly:
-        if c.denominator % p == 0:
-            raise BadPrime(f"denominator of minimal polynomial collides with {p}")
-        fmodp.append((c.numerator * pow(c.denominator % p, p - 2, p)) % p)
-    g = modp.poly_gcd(fmodp, modp.poly_deriv(fmodp, p), p)
-    return tuple(fmodp), len(g) == 1
-
-
-def reduce_mod_prime(a: FieldValue, p: int) -> ModularResidue:
-    """Image of a in F_p[x]/(f mod p).
-
-    Raises BadPrime when p is not prime, divides a denominator of the
-    minimal polynomial or of a, or when f mod p fails to be squarefree;
-    the caller is expected to retry with another prime.
-    """
-    fmodp, squarefree = _min_poly_mod(a.ambient.min_poly, p)
-    if a.den % p == 0:
-        raise BadPrime(f"denominator of coefficient collides with {p}")
-    den_inv = pow(a.den, p - 2, p)
-    coeffs = tuple(c * den_inv % p for c in a.num)
-    if not squarefree:
-        raise BadPrime(f"minimal polynomial is not squarefree mod {p}")
-    return ModularResidue(p, coeffs, fmodp)
-
-
 def root_mod_prime(ambient: FieldDesc, p: int) -> Optional[int]:
     """The least root in F_p of the minimal polynomial reduced mod p, or
     None when it has no root there; 0 (the trivial root) for the
-    rationals.
+    rationals.  Computed once per (field, prime).
 
     For Q(zeta_ell) and p != ell no polynomial arithmetic is needed: the
     roots of Phi_ell mod p are the elements of order ell in F_p^*, which
     exist exactly when ell | p - 1, and they are the powers w, ..., w^(ell-1)
     of any one of them, w = g^((p-1)/ell) != 1 (Cohen, A Course in
     Computational Algebraic Number Theory, 1.6).  Other fields, and
-    p = ell, go through modp.poly_roots.
+    p = ell, go through modp.poly_roots, which needs no squarefree f.
 
-    Evaluating the reduction of a value at this root is a ring
-    homomorphism to F_p.  Raises BadPrime when p is not prime or divides
-    a denominator of the minimal polynomial.
+    Raises BadPrime when p is not prime or divides a denominator of the
+    minimal polynomial.
     """
-    fmodp, _ = _min_poly_mod(ambient.min_poly, p)
-    if fmodp is None:
+    if p < 2 or not is_prime(p):
+        raise BadPrime(f"{p} is not prime")
+    if ambient.min_poly is None:
         return 0
     ell = ambient.cyclotomic_order
-    if ell is None or p == ell:
-        roots = modp.poly_roots(fmodp, p)
-        return roots[0] if roots else None
-    if (p - 1) % ell:
-        return None
-    g = 2
-    while (w := pow(g, (p - 1) // ell, p)) == 1:
-        g += 1
-    return min(pow(w, k, p) for k in range(1, ell))
+    if ell is not None and p != ell:
+        if (p - 1) % ell:
+            return None
+        g = 2
+        while (w := pow(g, (p - 1) // ell, p)) == 1:
+            g += 1
+        return min(pow(w, k, p) for k in range(1, ell))
+    fmodp = []
+    for c in ambient.min_poly:
+        if c.denominator % p == 0:
+            raise BadPrime(f"denominator of minimal polynomial collides with {p}")
+        fmodp.append((c.numerator * pow(c.denominator % p, p - 2, p)) % p)
+    roots = modp.poly_roots(fmodp, p)
+    return roots[0] if roots else None
+
+
+def reduce_mod_prime(a: FieldValue, p: int) -> ModularResidue:
+    """The image of a in F_p: its coefficients mod p evaluated at the
+    root of f mod p that root_mod_prime gives.  Evaluation at a root is
+    a ring homomorphism K -> F_p whether or not f mod p is squarefree.
+
+    Raises BadPrime when p is not prime, divides a denominator of the
+    minimal polynomial or of a, or when f has no root mod p; the caller
+    is expected to retry with another prime.
+    """
+    root = root_mod_prime(a.ambient, p)
+    if root is None:
+        raise BadPrime(f"minimal polynomial has no root mod {p}")
+    if a.den % p == 0:
+        raise BadPrime(f"denominator of coefficient collides with {p}")
+    v = 0
+    for c in reversed(a.num):
+        v = (v * root + c) % p
+    return ModularResidue(p, v * pow(a.den, p - 2, p) % p)

@@ -37,7 +37,10 @@ def decode_rational(s) -> Fraction:
         raise SuperspanError(f"expected a rational number, got {str(s).lower()}")
     if isinstance(s, int):
         return Fraction(s)
-    return Fraction(str(s))
+    try:
+        return Fraction(str(s))
+    except ZeroDivisionError:
+        raise SuperspanError(f"rational {s!r} has a zero denominator") from None
 
 
 def encode_value(v: FieldValue) -> list:
@@ -60,14 +63,25 @@ def _get(obj, key: str):
     return obj[key]
 
 
+def _array(value, what: str) -> list:
+    """value if it is a JSON array, else a SuperspanError naming what."""
+    if not isinstance(value, list):
+        raise SuperspanError(f"{what} must be a JSON array")
+    return value
+
+
 def decode_field(obj: dict) -> FieldDesc:
     kind = _get(obj, "kind")
     if kind == "rational":
         return rational_field()
     if kind == "cyclotomic":
-        return cyclotomic_field(int(_get(obj, "ell")))
+        ell = _get(obj, "ell")
+        if type(ell) is not int:  # as encode_field writes it: not a float, not a bool
+            raise SuperspanError(f"cyclotomic order must be a JSON integer, got {ell!r}")
+        return cyclotomic_field(ell)
     if kind == "number_field":
-        return number_field([decode_rational(c) for c in _get(obj, "min_poly")])
+        return number_field([decode_rational(c)
+                             for c in _array(_get(obj, "min_poly"), "min_poly")])
     raise SuperspanError(f"unknown field kind {kind!r}")
 
 
@@ -98,7 +112,7 @@ def decode_point(obj, ambient: Optional[FieldDesc] = None) -> ProjPoint:
     if ambient is None:
         ambient = rational_field()
     values = []
-    for c in coords:
+    for c in _array(coords, "the coordinates"):
         if isinstance(c, list):
             values.append(ambient.element([decode_rational(x) for x in c]))
         else:

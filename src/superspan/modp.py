@@ -60,10 +60,6 @@ def poly_sub(a, b, p):
     return poly_trim(out)
 
 
-def poly_deriv(a, p):
-    return poly_trim([(i * c) % p for i, c in enumerate(a)][1:])
-
-
 def poly_gcd(a, b, p):
     # the monic gcd, by Euclid on remainders alone
     g, r = list(a), list(b)

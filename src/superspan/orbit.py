@@ -29,7 +29,7 @@ from .errors import (
     TupleTooLong,
     ZeroCoordinate,
 )
-from .field import FieldDesc, FieldValue, rational_field, reduce_mod_prime, root_mod_prime
+from .field import FieldDesc, FieldValue, rational_field, reduce_mod_prime
 
 DEFAULT_EXPONENT_BUDGET = 2 ** 40
 
@@ -191,9 +191,9 @@ def iterate_matrix(P: ProjPoint, d: int, m: Sequence[int],
 class ModularOrbit:
     """The orbit of a point reduced modulo the filter primes of one run.
 
-    Coordinate j maps to v_j in F_p: its image in F_p[x]/(f mod p),
-    evaluated at a root of f mod p (the trivial root for the rationals).
-    That is a ring homomorphism, so the row of iterate m is
+    Coordinate j maps to v_j in F_p through reduce_mod_prime: its
+    coefficients evaluated at a root of f mod p (the trivial root for the
+    rationals).  That is a ring homomorphism, so the row of iterate m is
     v_j ** (d^m) = pow(v_j, e, p) by Fermat, with e = d^m mod (p-1)
     taken as p-1 when it is 0, which keeps a zero image 0.
     Rows are computed lazily, once per (prime, iterate index).
@@ -207,13 +207,14 @@ class ModularOrbit:
     the result does not depend on the order of the calls.
 
     Primes are drawn from the iterable until count usable ones are
-    found.  A prime is unusable for the point when it divides a
-    denominator, or when f mod p is not squarefree or has no root; each
-    one drawn is listed in bad_primes with its reason, and only the
-    usable ones, in the order drawn, are the filter primes.  At most
-    DRAWS_PER_PRIME * count * deg f primes are drawn: an irreducible f
-    has a root mod p for a share of at least 1/deg f of the primes
-    (Chebotarev), but a non-squarefree f is unusable at every prime.
+    found.  A prime is unusable for the point when f has no root mod p
+    or p divides a denominator; each one drawn is listed in bad_primes
+    with its reason, and only the usable ones, in the order drawn, are
+    the filter primes.  At most DRAWS_PER_PRIME * count * deg f primes
+    are drawn, since an iterable may hold no usable prime at all, as
+    primes = 3 mod 4 for x^2 + 1.  Every f has a root mod p for a share
+    of at least 1/deg f of the primes (Chebotarev, applied to an
+    irreducible factor), so a pseudo-random stream rarely meets the cap.
     Fewer than count usable primes are kept when the draws run out.
     Raises AllPrimesBad when no prime is usable.
     """
@@ -224,43 +225,27 @@ class ModularOrbit:
         self.point = point
         self.degree = d
         self.bad_primes = {}   # unusable prime drawn -> reason
-        self._roots = {}       # usable prime -> the root of f mod p used, in draw order
-        self._values = {}      # usable prime -> coordinate images v_j
+        self._values = {}      # usable prime -> coordinate images v_j, in draw order
         self._rows = {}        # (prime, iterate index) -> row of residues
         self._chains = {}      # usable prime -> (indices, echelon basis of each prefix)
         reason = None
         for p in islice(primes, self.DRAWS_PER_PRIME * count * point.ambient.degree):
-            reason = self._reduce(p)
-            if reason is not None:
-                self.bad_primes[p] = reason
-            elif len(self._roots) == count:
+            try:
+                self._values[p] = [self.image(p, c) for c in point.coords]
+            except BadPrime as exc:
+                reason = self.bad_primes[p] = str(exc)
+                continue
+            if len(self._values) == count:
                 break
-        if not self._roots:
+        if not self._values:
             raise AllPrimesBad(f"no usable filter prime among those tried; last: {reason}")
-        self.primes = list(self._roots)  # the filter primes
-
-    def _reduce(self, p: int) -> Optional[str]:
-        """Record the images of the coordinates mod p; the reason p is
-        unusable, or None."""
-        try:
-            root = root_mod_prime(self.point.ambient, p)
-            if root is None:
-                return f"minimal polynomial has no root mod {p}"
-            self._roots[p] = root
-            self._values[p] = [self.image(p, c) for c in self.point.coords]
-        except BadPrime as exc:
-            self._roots.pop(p, None)
-            return str(exc)
-        return None
+        self.primes = list(self._values)  # the filter primes
 
     def image(self, p: int, value: FieldValue) -> int:
-        """The image in F_p of a field value: its reduction mod the usable
-        prime p evaluated at the root.  Raises BadPrime when p divides a
+        """The image in F_p of a field value (see reduce_mod_prime).
+        Raises BadPrime when f has no root mod p or p divides a
         denominator of the value."""
-        v = 0
-        for a in reversed(reduce_mod_prime(value, p).coeffs):
-            v = (v * self._roots[p] + a) % p
-        return v
+        return reduce_mod_prime(value, p).value
 
     def row(self, p: int, m: int) -> tuple:
         """Residues of the m-th iterate modulo the usable prime p."""

@@ -3,9 +3,11 @@ import resource
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import event, example, given, settings, strategies as st
 
 import superspan
 from superspan import detect
@@ -168,6 +170,89 @@ def test_boolean_in_min_poly_is_not_a_number(tmp_path, capsys):
     code, out, err = run_cli(capsys, "relations", "--point-file", str(path))
     assert code == 2 and out == ""
     assert "expected a rational number, got true" in err
+
+
+@pytest.mark.parametrize("ell", [5.7, "5", True])
+def test_point_file_cyclotomic_order_is_a_json_integer(tmp_path, capsys, ell):
+    # int() read 5.7 and "5" as 5, and true as 1
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"field": {"kind": "cyclotomic", "ell": ell},
+                                "coords": [["1"], ["0", "1"]]}))
+    code, out, err = run_cli(capsys, "relations", "--point-file", str(path))
+    assert code == 2 and out == ""
+    assert "cyclotomic order must be a JSON integer" in err
+
+
+@pytest.mark.parametrize("command", [
+    ("relations",),
+    ("detect", "--d", "2", "--r", "1", "--max-iter", "3"),
+], ids=["relations", "detect"])
+@pytest.mark.parametrize("point, message", [
+    ('"123"', "the coordinates must be a JSON array"),  # was read as [1, 2, 3]
+    ("5", "the coordinates must be a JSON array"),      # was an uncaught TypeError
+    ('{"field": {"kind": "rational"}, "coords": "123"}', "the coordinates must be a JSON array"),
+    ('{"field": {"kind": "number_field", "min_poly": 5}, "coords": [1, 2]}',
+     "min_poly must be a JSON array"),
+    ('["1/0", 2]', "has a zero denominator"),            # was an uncaught ZeroDivisionError
+], ids=["string", "number", "document string", "min_poly number", "zero denominator"])
+def test_point_that_is_not_a_point(capsys, command, point, message):
+    code, out, err = run_cli(capsys, command[0], "--point", point, *command[1:])
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def json_values(ints):
+    scalars = st.none() | st.booleans() | ints | st.floats() | st.text(max_size=6)
+    return st.recursive(scalars, lambda inner: st.lists(inner, max_size=4)
+                        | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+                        max_leaves=10)
+
+
+ANY_JSON = json_values(st.integers())
+# coordinate arrays that are often valid, and anything else
+COORDS = st.lists(st.integers() | st.floats() | st.lists(st.integers(-9, 9), max_size=4),
+                  min_size=1, max_size=5) | ANY_JSON
+# a field holds small ints only: a prime ell, or a long min_poly, of
+# arbitrary size would build a field of that degree
+SMALL_JSON = json_values(st.integers(-99, 99))
+FIELDS = SMALL_JSON | st.fixed_dictionaries(
+    {"kind": st.sampled_from(["rational", "cyclotomic", "number_field"]) | SMALL_JSON},
+    optional={"ell": st.sampled_from([5, 7]) | SMALL_JSON,
+              "min_poly": st.lists(st.integers(-3, 3), max_size=3).map(lambda c: c + [1])
+              | SMALL_JSON})
+CLI_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def run_relations(*argv):
+    """Run `relations`: it must exit 0 or 2, and anything raised fails."""
+    with tempfile.TemporaryDirectory() as tmp:
+        code = main(["relations", *argv, "--out", str(Path(tmp) / "out.json")])
+    assert code in (0, 2)
+    event(f"exit {code}")
+
+
+@CLI_PROPERTY
+@given(COORDS)
+@example([1, 2, -3])
+@example("123")
+@example(5)
+@example(["1/0"])
+@example({"field": {"kind": "cyclotomic", "ell": 5}, "coords": [["1"], ["0", "1"]]})
+def test_any_json_point_exits_0_or_2(point):
+    run_relations("--point", json.dumps(point))
+
+
+@CLI_PROPERTY
+@given(FIELDS, COORDS)
+@example({"kind": "cyclotomic", "ell": 5}, [["1"], ["0", "1"]])
+@example({"kind": "cyclotomic", "ell": 5.7}, [1, 2])
+@example({"kind": "number_field", "min_poly": 5}, [1, 2])
+@example({"kind": "number_field", "min_poly": [0, 0, 1]}, [["1"], ["0", "1"]])
+def test_any_json_point_file_exits_0_or_2(field_doc, coords):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "point.json"
+        path.write_text(json.dumps({"field": field_doc, "coords": coords}))
+        run_relations("--point-file", str(path))
 
 
 @pytest.mark.parametrize("argv", [

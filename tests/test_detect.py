@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 
 from superspan import detect, field, linalg
-from superspan import orbit as orbit_module
 from superspan.constructions import cyclotomic_family, sextic_field, sextic_point
 from superspan.detect import (
     DEFAULT_FILTER_PRIME_COUNT,
@@ -120,13 +119,13 @@ def test_zero_coordinate_rejected():
 
 def test_degree_below_2_fails_before_any_prime_is_drawn(monkeypatch):
     calls = []
-    root = orbit_module.root_mod_prime
+    root = field.root_mod_prime
 
     def counting_root(*args):
         calls.append(args)
         return root(*args)
 
-    monkeypatch.setattr(orbit_module, "root_mod_prime", counting_root)
+    monkeypatch.setattr(field, "root_mod_prime", counting_root)
     with pytest.raises(ValueError, match="degree must be >= 2"):
         enumerate_exceptional(sextic_point(), 1, 2, 6)
     assert calls == []
@@ -200,12 +199,16 @@ def test_default_primes_follow_the_seed():
 
 
 @pytest.mark.parametrize("min_poly", [[0, 0, 1], [1, -2, 1]])
-def test_default_primes_give_up_when_f_is_not_squarefree(min_poly):
-    # x^2 and (x - 1)^2 are not squarefree mod any prime
+def test_filtered_equals_unfiltered_when_f_is_not_squarefree(min_poly):
+    # x^2 and (x - 1)^2 are not squarefree mod any prime, but have a root
+    # mod every prime: the first primes of the stream serve the filter
     K = field.number_field(min_poly)
     P = ProjPoint(K, [K.one(), K.gen() + 2])
-    with pytest.raises(AllPrimesBad):
-        enumerate_exceptional(P, 2, 1, 5)
+    fast = enumerate_exceptional(P, 2, 1, 5)
+    slow = enumerate_exceptional(P, 2, 1, 5, prime_count=0)
+    assert fast.diagnostics["primes"] == stream_primes(DEFAULT_FILTER_PRIME_COUNT)
+    assert fast.diagnostics["filtered"] == 15
+    assert fast.semantic_content() == slow.semantic_content()
 
 
 def test_coordinate_vanishing_at_every_root():

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from superspan import field
 from superspan.errors import (
@@ -151,15 +151,14 @@ def test_pow_additivity(K):
 def test_mod_prime_rational():
     a = Q.from_rational(Fraction(3, 2))
     r = field.reduce_mod_prime(a, 7)
-    assert r.coeffs == (5,)  # 3 * inverse(2) = 3 * 4 = 12 = 5 mod 7
-    assert r.modulus is None
+    assert r == field.ModularResidue(7, 5)  # 3 * inverse(2) = 3 * 4 = 12 = 5 mod 7
 
 
 def test_mod_prime_cyclotomic():
+    # the roots of Phi_5 mod 11 are 3, 4, 5 and 9: zeta maps to the least
     z = C5.gen()
-    r = field.reduce_mod_prime(z, 11)
-    assert r.coeffs == (0, 1, 0, 0)
-    assert r.modulus == (1, 1, 1, 1, 1)
+    assert field.reduce_mod_prime(z, 11) == field.ModularResidue(11, 3)
+    assert field.reduce_mod_prime(z ** 2 + 1, 11) == field.ModularResidue(11, 10)
 
 
 def test_mod_prime_denominator_collision():
@@ -168,26 +167,12 @@ def test_mod_prime_denominator_collision():
         field.reduce_mod_prime(a, 7)
 
 
-def test_mod_prime_homomorphism():
-    rng = random.Random(3)
-    for K in (Q, C5):
-        for _ in range(20):
-            a = field.FieldValue(K, [Fraction(rng.randint(-9, 9)) for _ in range(K.degree)])
-            b = field.FieldValue(K, [Fraction(rng.randint(-9, 9)) for _ in range(K.degree)])
-            p = 10007
-            ra, rb = field.reduce_mod_prime(a, p), field.reduce_mod_prime(b, p)
-            assert field.reduce_mod_prime(a * b, p) == ra * rb
-            assert field.reduce_mod_prime(a + b, p) == ra + rb
-
-
-def test_residue_pow_matches_exact():
-    rng = random.Random(5)
-    p = 10007
-    for K in (Q, C5):
-        for _ in range(15):
-            a = field.FieldValue(K, [Fraction(rng.randint(1, 9)) for _ in range(K.degree)])
-            e = rng.randint(1, 40)
-            assert field.reduce_mod_prime(a ** e, p) == field.reduce_mod_prime(a, p) ** e
+def test_mod_prime_needs_a_root():
+    # Phi_5 has a root mod p only when p = 1 mod 5, or p = 5
+    with pytest.raises(BadPrime, match="no root"):
+        field.reduce_mod_prime(C5.gen(), 10007)
+    with pytest.raises(BadPrime, match="not prime"):
+        field.reduce_mod_prime(Q.one(), 10001)
 
 
 def test_residue_pow_tower():
@@ -195,7 +180,7 @@ def test_residue_pow_tower():
     a = field.reduce_mod_prime(Q.from_rational(3), p)
     # 3^(2^50) mod p computed directly via Fermat
     expected = pow(3, pow(2, 50, p - 1), p)
-    assert a.pow_tower(2, 50).coeffs == (expected,)
+    assert a.pow_tower(2, 50).value == expected
 
 
 def test_overlong_coefficients_reduce_mod_f():
@@ -230,7 +215,7 @@ def test_residue_negative_power_is_rejected(a):
     r = field.reduce_mod_prime(a, 11)
     with pytest.raises(ValueError, match="e >= 0"):
         r ** -1
-    assert r ** 0 == r.one()
+    assert r ** 0 == field.reduce_mod_prime(a.ambient.one(), 11)
 
 
 def test_is_prime():
@@ -334,3 +319,47 @@ def test_equal_values_hash_alike(case):
         assert v == x and hash(v) == hash(x)
         assert x in {v} and v in {x} and {v: 1}[x] == {x: 1}[v] == 1
         assert (a in {x}) == (a == x) == (a in {x: 1}) == (x in {a})
+
+
+# ----------------------------------------------------------------------
+# reduction mod p: a ring homomorphism K -> F_p
+# ----------------------------------------------------------------------
+
+SQUARE = field.number_field([0, 0, 1])  # x^2: the root 0 is double mod every p
+
+# field -> primes at which f has a root.  Those where f mod p is not
+# squarefree are 5 for Q(zeta_5), 7 and 13 for the sextic (its
+# discriminant is -7^4 * 13^3 / 2^4) and every prime for x^2.
+REDUCTION_PRIMES = [
+    (Q, [2, 3, 5, 7, 10007]),
+    (C5, [5, 11, 31, 10061]),
+    (field.number_field(SEXTIC), [7, 13, 31, 83]),
+    (SQUARE, [2, 3, 7, 10007]),
+]
+
+
+@st.composite
+def reduction_cases(draw):
+    """(a, b, p): two values with denominators prime to p, and p a prime
+    at which f has a root."""
+    K, primes = draw(st.sampled_from(REDUCTION_PRIMES))
+    p = draw(st.sampled_from(primes))
+    dens = st.integers(1, 12).filter(lambda q: q % p)
+    a, b = (field.FieldValue(K, [Fraction(draw(st.integers(-30, 30)), draw(dens))
+                                 for _ in range(K.degree)]) for _ in range(2))
+    return a, b, p
+
+
+@PROPERTY
+@given(reduction_cases(), st.integers(0, 12), st.sampled_from([1, 2, 3]), st.integers(0, 3))
+@example((C5.gen(), C5.gen() + 2, 5), 4, 2, 2)          # Phi_5 = (x - 1)^4 mod 5
+@example((SQUARE.gen(), SQUARE.gen() + 3, 7), 2, 2, 1)  # x^2 = 0 in K, and 0^2 = 0 mod 7
+def test_reduction_is_a_ring_homomorphism(case, e, d, m):
+    a, b, p = case
+    ra, rb = field.reduce_mod_prime(a, p), field.reduce_mod_prime(b, p)
+    assert 0 <= ra.value < p and ra.prime == p
+    assert field.reduce_mod_prime(a + b, p) == ra + rb
+    assert field.reduce_mod_prime(a * b, p) == ra * rb
+    if a or e:
+        assert field.reduce_mod_prime(a ** e, p) == ra ** e
+    assert field.reduce_mod_prime(a ** d ** m, p) == ra.pow_tower(d, m)

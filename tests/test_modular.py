@@ -3,7 +3,7 @@ and the soundness of the rank filter, over Q, Q(zeta_5) and the sextic."""
 
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain, combinations, islice, repeat
 from math import log
 
 import pytest
@@ -11,9 +11,9 @@ from hypothesis import assume, event, example, given, settings, strategies as st
 
 from superspan import field, linalg, modp, orbit as orbit_module
 from superspan.constructions import sextic_field, sextic_point
-from superspan.detect import _prime_stream, enumerate_exceptional
+from superspan.detect import _prime_stream, enumerate_exceptional, intersection_count
 from superspan.errors import AllPrimesBad, BadPrime
-from superspan.orbit import ModularOrbit, ProjPoint, iterate_matrix
+from superspan.orbit import ExactOrbit, ModularOrbit, ProjPoint, iterate_matrix
 
 Q = field.rational_field()
 C5 = field.cyclotomic_field(5)
@@ -25,9 +25,9 @@ PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=N
 
 # field -> (small nonzero values that make structured points, filter primes
 # to draw from, cap on d^m so exact iterates stay cheap).  The primes mix
-# usable ones with ones that have no root of f (7 for Q(zeta_5); 3 and 7
-# for the sextic), collide with a denominator (2 for the sextic) or make
-# f mod p non-squarefree (5 for Q(zeta_5)).
+# usable ones with ones that have no root of f (7 for Q(zeta_5), 3 for the
+# sextic) or collide with a denominator (2 for the sextic).  Some usable
+# ones make f mod p non-squarefree: 5 for Q(zeta_5), 7 for the sextic.
 FIELDS = {
     "Q": ([Q.from_rational(c) for c in (1, -1, 2, -2, 3, -3, 6, 97, Fraction(1, 2))],
           [2, 3, 5, 7, 11, 13, 97, 10007], 8000),
@@ -52,8 +52,8 @@ def evaluate(coeffs, x, p):
 
 
 def image(value, p, root):
-    """value in F_p: its reduction mod p evaluated at the root."""
-    return evaluate(field.reduce_mod_prime(value, p).coeffs, root, p)
+    """value in F_p: its coefficients mod p evaluated at the root."""
+    return evaluate(value.num, root, p) * pow(value.den, -1, p) % p
 
 
 def max_index(d, cap):
@@ -194,7 +194,7 @@ def stream_prime(seed, k):
                                                st.integers(0, 20)))
 @example(3, 2)
 @example(31, 2)
-@example(5, 5)      # Phi_5 = (x - 1)^4 mod 5: the root 1, later rejected as not squarefree
+@example(5, 5)      # Phi_5 = (x - 1)^4 mod 5: the root 1, a usable one
 @example(31, 31)
 @example(5, 11)     # 11 = 1 mod 5
 @example(31, 311)   # 311 = 1 mod 31
@@ -220,7 +220,7 @@ def test_cyclotomic_orbit_draws_as_with_poly_roots(ell, seed):
     P = ProjPoint(K, [1, zeta, zeta - 3, 2])
     orbit = ModularOrbit(P, 2, _prime_stream(seed), 3)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(orbit_module, "root_mod_prime", least_root_by_poly_roots)
+        mp.setattr(field, "root_mod_prime", least_root_by_poly_roots)
         reference = ModularOrbit(P, 2, _prime_stream(seed), 3)
     assert orbit.primes == reference.primes
     assert orbit.bad_primes == reference.bad_primes
@@ -337,27 +337,62 @@ def test_filter_verdicts_do_not_depend_on_call_order(case):
             event("a prefix drops rank mod p")
 
 
+SQUARE = field.number_field([0, 0, 1])          # x^2
+SHIFTED_SQUARE = field.number_field([1, -2, 1])  # (x - 1)^2
+
+
+@pytest.mark.parametrize("P, primes", [
+    (ProjPoint(C5, [1, ZETA, -1]), [5]),  # iterates 1 and 5 coincide
+    (ProjPoint(C5, [1, ZETA, ZETA ** 2, 2]), [5]),
+    (ProjPoint(SQUARE, [1, -1, SQUARE.gen() + 2, 3]), [3, 5, 7]),
+    (ProjPoint(SHIFTED_SQUARE, [1, -1, SHIFTED_SQUARE.gen() + 2]), [3, 5, 7]),
+], ids=["z5,-1 at 5", "z5,z5^2,2 at 5", "x^2", "(x-1)^2"])
+def test_filter_is_sound_where_f_is_not_squarefree(P, primes):
+    """A root of a non-squarefree f mod p still gives a ring homomorphism:
+    every tuple certified there has full exact rank, and counts read
+    through those primes match the exact counts, for every subspace
+    spanned by iterates."""
+    orbit = ModularOrbit(P, 2, primes, len(primes))
+    assert orbit.primes == primes
+    exact, M = ExactOrbit(P, 2), 6
+    certified = 0
+    for r in range(1, P.dim):
+        for m in combinations(range(M + 1), r + 1):
+            full = linalg.rank(exact.rows(m)) == r + 1
+            if linalg.modular_rank_filter(orbit, m, r).certified:
+                certified += 1
+                assert full
+            if full:
+                L = linalg.span_canonical(exact.rows(m))
+                assert intersection_count(P, 2, L, M, orbit=orbit, exact=exact) == \
+                    intersection_count(P, 2, L, M, exact=exact)
+    assert certified
+
+
 @pytest.mark.parametrize("P, r, reductions", [
     (sextic_point(), 2, 45),                  # 3 primes x 3 coordinates x (1 + two lines of rank 2)
     (ProjPoint(C5, [1, ZETA, 2, 3]), 3, 12),  # 3 primes x 4 coordinates, no subspace
 ])
 def test_f_is_reduced_once_per_prime(monkeypatch, P, r, reductions):
-    drawn, squarefree_checks, reduced = [], [], []
-    root_mod_prime, reduce_mod_prime = orbit_module.root_mod_prime, orbit_module.reduce_mod_prime
-    poly_deriv = modp.poly_deriv
-    monkeypatch.setattr(orbit_module, "root_mod_prime",
-                        lambda K, p: drawn.append(p) or root_mod_prime(K, p))
-    monkeypatch.setattr(orbit_module, "reduce_mod_prime",
-                        lambda v, p: reduced.append(p) or reduce_mod_prime(v, p))
-    monkeypatch.setattr(modp, "poly_deriv",
-                        lambda f, p: squarefree_checks.append(p) or poly_deriv(f, p))
-    field._min_poly_mod.cache_clear()
+    checked, reduced = [], []
+    is_prime, reduce_mod_prime = field.is_prime, orbit_module.reduce_mod_prime
+
+    def counting_reduce(v, p):
+        residue = reduce_mod_prime(v, p)
+        reduced.append(p)
+        return residue
+
+    # root_mod_prime tests p for primality once each time it computes a root
+    monkeypatch.setattr(field, "is_prime", lambda n: checked.append(n) or is_prime(n))
+    monkeypatch.setattr(orbit_module, "reduce_mod_prime", counting_reduce)
+    field.root_mod_prime.cache_clear()
     report = enumerate_exceptional(P, 2, r, 6)
-    assert set(squarefree_checks) <= set(drawn)
-    assert max(Counter(squarefree_checks).values()) == 1
-    # reduce_mod_prime is called once per reduced value: each coordinate,
-    # and each entry of each subspace's basis, once per usable prime
+    # its cache finds the root of f once per prime drawn, usable or not
     primes = report.diagnostics["primes"]
+    assert set(primes) <= set(checked)
+    assert max(Counter(checked).values()) == 1
+    # a value is reduced once: each coordinate, and each entry of each
+    # subspace's basis, once per usable prime
     assert len(reduced) == reductions == len(primes) * len(P.coords) * (
         1 + sum(rec.subspace.rank for rec in report.subspaces))
     assert set(reduced) == set(primes)
@@ -366,20 +401,20 @@ def test_f_is_reduced_once_per_prime(monkeypatch, P, r, reductions):
 def test_bad_prime_reasons():
     P = ProjPoint(C5, [1, ZETA - 3, 2])
     orbit = ModularOrbit(P, 2, [7, 5, 11, 31], 4)
-    assert orbit.primes == [11, 31]
-    reasons = orbit.bad_primes
-    assert list(reasons) == [7, 5]
-    assert "no root" in reasons[7]
-    assert "squarefree" in reasons[5]
+    assert orbit.primes == [5, 11, 31]
+    assert list(orbit.bad_primes) == [7]
+    assert "no root" in orbit.bad_primes[7]
+    # Phi_5 = (x - 1)^4 mod 5 is not squarefree, and its root 1 serves
+    assert orbit.image(5, ZETA) == 1
     # zeta - 3 maps to 0 at the root 3 mod 11: the prime stays usable and
     # its rows have a zero column, so it cannot certify
     assert orbit.image(11, ZETA) == 3
     assert orbit.row(11, 2) == (1, 0, 5)
-    verdict = linalg.modular_rank_filter(orbit, (0, 1, 2), 2)
+    verdict = linalg.modular_rank_filter(ModularOrbit(P, 2, [11, 31], 2), (0, 1, 2), 2)
     assert verdict.diagnostics == {"ranks": {11: 2, 31: 3}}
     assert verdict.prime == 31
-    with pytest.raises(AllPrimesBad):
-        ModularOrbit(P, 2, [7, 5], 2)
+    with pytest.raises(AllPrimesBad, match="no root"):
+        ModularOrbit(P, 2, [7, 2], 2)
 
 
 def test_drawn_primes_skip_unusable():
@@ -440,20 +475,21 @@ def test_orbit_primes_and_bad_primes_split_a_prefix(case, count):
 
 
 def test_drawn_primes_are_capped():
-    # f = x^2 is not squarefree mod any p, so no prime of an endless
-    # stream is usable: the draws stop after DRAWS_PER_PRIME * count * deg f
-    K = field.number_field([0, 0, 1])
+    # x^2 + 1 has no root mod a prime p = 3 mod 4, so no prime of an endless
+    # stream of them is usable: the draws stop after
+    # DRAWS_PER_PRIME * count * deg f
+    K = field.number_field([1, 0, 1])
     drawn = []
 
     def stream():
-        p = 2
+        p = 3
         while True:
-            p += 1
             if field.is_prime(p):
                 drawn.append(p)
                 yield p
+            p += 4
 
-    with pytest.raises(AllPrimesBad, match="squarefree"):
+    with pytest.raises(AllPrimesBad, match="no root"):
         ModularOrbit(ProjPoint(K, [K.one(), K.gen() + 2]), 2, stream(), count=3)
     assert len(drawn) == ModularOrbit.DRAWS_PER_PRIME * 3 * 2
     # draws that run out with fewer than count usable primes keep those
