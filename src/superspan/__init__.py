@@ -31,7 +31,6 @@ from .field import (
     root_mod_prime,
 )
 from .linalg import (
-    FilterVerdict,
     Subspace,
     det,
     modular_rank_filter,

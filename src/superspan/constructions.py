@@ -102,6 +102,7 @@ class CyclotomicFamily:
 
 def cyclotomic_family(d: int, ell: int, tail: Sequence) -> CyclotomicFamily:
     """Construct the family of exceptional hyperplanes for [1, zeta, tail]."""
+    C = cyclotomic_field(ell)  # checks ell before is_primitive_root loops up to it
     if not is_primitive_root(d, ell):
         raise NotPrimitiveRoot(f"{d} is not a primitive root mod {ell}")
     tail = tuple(Fraction(t) for t in tail)
@@ -109,7 +110,6 @@ def cyclotomic_family(d: int, ell: int, tail: Sequence) -> CyclotomicFamily:
         raise ZeroTail("tail entries must be nonzero")
     if tail:
         _warn_if_tail_dependent(tail)
-    C = cyclotomic_field(ell)
     zeta = C.gen()
     coords = [C.one(), zeta] + [C.from_rational(t) for t in tail]
     point = ProjPoint(C, coords)

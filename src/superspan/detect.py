@@ -5,9 +5,12 @@ iterate indices up to a bound M, discards tuples whose iterate matrix is
 certified full-rank by the modular filter, confirms the survivors with
 exact super-rank checks, groups the confirmed tuples by the canonical
 form of their span, and counts how many orbit points up to M each
-resulting subspace contains.  The modular filter keeps, per prime, the
-echelon basis of each tuple's first r rows and reuses it for every tuple
-of the same prefix, so a tuple mostly costs one row reduction mod p.
+resulting subspace contains.  The tuples are taken by their first r - 1
+indices: per prime, the modular filter reduces each later row once
+against the echelon basis of that prefix, and a pair of later rows
+leaves the tuple uncertified only when their residuals are dependent,
+so the filter costs one row reduction mod p per index and prefix, not
+one rank check per tuple.
 The count reuses the filter's residue rows and its elimination kernel:
 L's basis is echeloned once per filter prime, an iterate is certified
 off L when its row leaves a nonzero residual against it, and only the
@@ -143,16 +146,21 @@ def enumerate_exceptional(P: ProjPoint, d: int, r: int, max_iter: int,
     skipped = []
     filtered_out = 0
     exact_checked = 0
-    for m in combinations(range(max_iter + 1), r + 1):
-        if orbit is not None and modular_rank_filter(orbit, m, r).certified:
-            filtered_out += 1
-            continue
-        exact_checked += 1
-        try:
-            if super_rank(exact.rows(m)):
-                confirmed.append(m)
-        except ExponentBudgetExceeded as exc:
-            skipped.append({"tuple": list(m), "reason": str(exc)})
+    # each (r-1)-prefix, in lexicographic order, with the pairs after it
+    for prefix in combinations(range(max_iter - 1), r - 1):
+        start = prefix[-1] + 1 if prefix else 0
+        if orbit is None:
+            survivors = [prefix + pair for pair in combinations(range(start, max_iter + 1), 2)]
+        else:
+            survivors = modular_rank_filter(orbit, prefix, max_iter)
+            filtered_out += comb(max_iter + 1 - start, 2) - len(survivors)
+        for m in survivors:
+            exact_checked += 1
+            try:
+                if super_rank(exact.rows(m)):
+                    confirmed.append(m)
+            except ExponentBudgetExceeded as exc:
+                skipped.append({"tuple": list(m), "reason": str(exc)})
 
     # confirmed tuples arrive in lexicographic order, so the groups'
     # insertion order is the order of their least preimage tuples

@@ -2,13 +2,14 @@
 
 Three kinds of ambient are supported: the rationals, number fields
 Q[x]/(f) with f monic over Q, and cyclotomic fields Q(zeta_ell) for an
-odd prime ell.  Elements are represented by their unique reduced
-polynomial of degree < deg(f), stored as integer numerators (constant
-term first) over one common denominator (Cohen, A Course in Computational
-Algebraic Number Theory, 4.2).  A product is an integer convolution
-reduced through the rows x^k mod f, k >= deg(f), computed once per
-minimal polynomial.  All operations are pure and every value is
-immutable, so values may be shared freely.
+odd prime ell, each of degree at most MAX_FIELD_DEGREE.  Elements are
+represented by their unique reduced polynomial of degree < deg(f),
+stored as integer numerators (constant term first) over one common
+denominator (Cohen, A Course in Computational Algebraic Number Theory,
+4.2).  A product is an integer convolution reduced through the rows
+x^k mod f, k >= deg(f), computed once per minimal polynomial.  All
+operations are pure and every value is immutable, so values may be
+shared freely.
 
 Reduction modulo a machine-word prime feeds the fast rank filter.
 root_mod_prime finds the least root a of f mod p, once per (field,
@@ -39,9 +40,14 @@ from .errors import (
     NonInvertible,
     NonMonicPolynomial,
     NonPrimeCyclotomicOrder,
+    Unsupported,
     ZeroDegree,
     ZeroToZeroPower,
 )
+
+# the largest degree of a number field or cyclotomic field; the time and
+# memory that building one takes grow faster than the degree squared
+MAX_FIELD_DEGREE = 256
 
 RATIONAL = "rational"
 NUMBER_FIELD = "number_field"
@@ -224,8 +230,16 @@ def rational_field() -> FieldDesc:
     return FieldDesc(RATIONAL, None, 1)
 
 
+def _check_degree(degree: int) -> None:
+    """Raise Unsupported for a degree above MAX_FIELD_DEGREE, before
+    anything of the field is built."""
+    if degree > MAX_FIELD_DEGREE:
+        raise Unsupported(f"field degree {degree} exceeds the cap {MAX_FIELD_DEGREE}")
+
+
 def cyclotomic_field(ell: int) -> FieldDesc:
-    """The field Q(zeta_ell) for an odd prime ell."""
+    """The field Q(zeta_ell) for an odd prime ell, of degree ell - 1."""
+    _check_degree(ell - 1)
     if ell < 3 or ell % 2 == 0 or not is_prime(ell):
         raise NonPrimeCyclotomicOrder(f"cyclotomic order must be an odd prime, got {ell}")
     phi = tuple(Fraction(1) for _ in range(ell))  # x^(ell-1) + ... + x + 1
@@ -239,6 +253,7 @@ def number_field(min_poly: Sequence[Rat]) -> FieldDesc:
         coeffs.pop()
     if len(coeffs) < 2:
         raise ZeroDegree("minimal polynomial must have degree >= 1")
+    _check_degree(len(coeffs) - 1)
     if coeffs[-1] != 1:
         raise NonMonicPolynomial("minimal polynomial must be monic")
     return FieldDesc(NUMBER_FIELD, tuple(coeffs), len(coeffs) - 1)

@@ -13,7 +13,11 @@ homomorphism to F_p, so every minor maps to its image there, and a
 nonzero minor found by elimination on plain ints mod p proves a nonzero
 minor exactly.  Entries are v ** e with e = d^m mod (p-1), or p-1 when
 that is 0 so a zero entry stays zero (Fermat), which keeps the filter
-cost independent of the size of d^m.  One elimination kernel works mod
+cost independent of the size of d^m.  One call decides every tuple
+that extends an (r-1)-prefix by two later indices: each later row is
+reduced once against the prefix's basis, and the rows are grouped by
+their residual up to scaling, so the cost is one reduction per index
+rather than one rank check per tuple.  One elimination kernel works mod
 p: echelon_mod_p builds an echelon basis row by row and residual_mod_p
 reduces a row against it, for the filter's prefix bases and for the
 subspaces of the intersection counts alike.
@@ -21,8 +25,9 @@ subspaces of the intersection counts alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from typing import List, Optional, Sequence
 
@@ -232,21 +237,6 @@ def super_rank(rows) -> bool:
 # modular rank filter
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FilterVerdict:
-    """Outcome of the modular rank filter.
-
-    certified is True only when some prime exhibited full rank r+1, in
-    which case the exact matrix provably has rank r+1 and the tuple
-    cannot be exceptional.  Otherwise the tuple is a candidate that
-    still needs exact confirmation.
-    """
-
-    certified: bool
-    prime: Optional[int] = None
-    diagnostics: dict = dc_field(default_factory=dict)
-
-
 def residual_mod_p(basis: Sequence[tuple], row: Sequence[int], p: int) -> list:
     """row reduced mod p against an echelon basis: a list of residues,
     all zero iff row lies in the span of the basis mod p.
@@ -276,25 +266,59 @@ def echelon_mod_p(rows: Sequence[Sequence[int]], p: int, basis: tuple = ()) -> t
     return basis
 
 
-def modular_rank_filter(orbit, m: Sequence[int], r: int) -> FilterVerdict:
-    """Try to certify rank r+1 of the iterate matrix A_m modulo a prime.
+def _uncertified_pairs(classes: dict) -> set:
+    """The pairs (c, l), c < l, of indices whose residuals are dependent:
+    classes maps each residual scaled to a leading 1 (None for a zero
+    residual) to its indices, in increasing order."""
+    zero = classes.get(None, [])
+    pairs = set(combinations(zero, 2))
+    for key, members in classes.items():
+        if key is not None:
+            pairs.update(combinations(members, 2))
+            pairs.update((min(z, i), max(z, i)) for z in zero for i in members)
+    return pairs
 
-    orbit is the run's ModularOrbit: its row for (p, m_i) is the image
-    of row i of A_m under a ring homomorphism to F_p, so no large integer
-    is ever formed.  The orbit's primes, all usable, are tried in order;
-    a full-rank verdict is exact, anything else is only 'candidate' and
-    must be confirmed by exact arithmetic.  The rank mod p is the length
-    of the orbit's echelon basis of the first r rows, shared with every
-    tuple of the same prefix, plus one when the last row leaves a
-    nonzero residual.  The diagnostics hold the rank at each prime tried.
+
+def modular_rank_filter(orbit, prefix: Sequence[int], max_iter: int) -> list:
+    """The tuples prefix + (c, l), prefix[-1] < c < l <= max_iter, whose
+    iterate matrix no filter prime certifies to have full rank, in
+    lexicographic order.  prefix holds r - 1 increasing indices.
+
+    orbit is the run's ModularOrbit: its row for (p, i) is the image of
+    iterate i under a ring homomorphism to F_p, so a rank r + 1 mod p
+    proves rank r + 1 exactly, and no large integer is ever formed.  At
+    a prime where the prefix's echelon basis has r - 1 rows, reducing a
+    row against it is linear with the prefix's span as kernel, so the
+    tuple has rank r + 1 mod p iff the residuals of c and l are
+    independent: both nonzero and not multiples of one another.  The
+    indices are grouped by their residual scaled to a leading 1, and the
+    prime leaves uncertified only the pairs within a class and the pairs
+    with a zero residual.  A prime where the prefix drops rank certifies
+    nothing.  The uncertified sets of the primes are intersected, and a
+    later prime reduces only the indices still in a pair.
     """
-    m = tuple(m)
-    if len(m) != r + 1:
-        raise ShapeMismatch(f"tuple length {len(m)} does not match r = {r}")
-    ranks = {}
+    prefix = tuple(prefix)
+    indices = range(prefix[-1] + 1 if prefix else 0, max_iter + 1)
+    pairs = None  # uncertified pairs so far; None before a prime certifies
     for p in orbit.primes:
-        basis = orbit.echelon(p, m[:-1])
-        ranks[p] = len(basis) + any(residual_mod_p(basis, orbit.row(p, m[-1]), p))
-        if ranks[p] == r + 1:
-            return FilterVerdict(True, p, {"ranks": ranks})
-    return FilterVerdict(False, None, {"ranks": ranks})
+        basis = orbit.echelon(p, prefix)
+        if len(basis) < len(prefix):
+            continue
+        if pairs is not None:
+            indices = sorted({i for pair in pairs for i in pair})
+        classes = {}
+        for i in indices:
+            res = residual_mod_p(basis, orbit.row(p, i), p)
+            lead = next((v for v in res if v), 0)
+            key = None
+            if lead:
+                inv = pow(lead, -1, p)
+                key = tuple(v * inv % p for v in res)
+            classes.setdefault(key, []).append(i)
+        survivors = _uncertified_pairs(classes)
+        pairs = survivors if pairs is None else pairs & survivors
+        if not pairs:
+            break
+    if pairs is None:
+        pairs = combinations(indices, 2)
+    return [prefix + pair for pair in sorted(pairs)]

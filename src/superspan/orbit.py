@@ -201,10 +201,10 @@ class ModularOrbit:
     echelon(p, prefix) serves the rank filter: each usable prime keeps a
     chain of echelon bases mod p, of the rows m_0, then m_0 and m_1, and
     so on.  A call keeps the part of the chain that agrees with its
-    prefix and extends it by the remaining rows, so lexicographically
-    consecutive tuples, which share their first r indices, eliminate
-    only their last row; the chain is checked against the indices, so
-    the result does not depend on the order of the calls.
+    prefix and extends it by the remaining rows, so the filter's
+    (r-1)-prefixes, taken in lexicographic order, mostly eliminate only
+    their last row; the chain is checked against the indices, so the
+    result does not depend on the order of the calls.
 
     Primes are drawn from the iterable until count usable ones are
     found.  A prime is unusable for the point when f has no root mod p
@@ -257,7 +257,8 @@ class ModularOrbit:
 
     def echelon(self, p: int, prefix: tuple) -> tuple:
         """The echelon basis mod the usable prime p (see
-        linalg.echelon_mod_p) of the rows of the iterates in prefix."""
+        linalg.echelon_mod_p) of the rows of the iterates in prefix, an
+        increasing tuple of indices; the filter passes (r-1)-prefixes."""
         indices, bases = self._chains.get(p, ((), [()]))
         if indices != prefix:
             k = 0

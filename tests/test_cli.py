@@ -4,6 +4,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import event, example, given, settings, strategies as st
 import superspan
 from superspan import detect
 from superspan.cli import main
+from superspan.field import MAX_FIELD_DEGREE
 
 
 def run_cli(capsys, *argv):
@@ -212,14 +214,11 @@ ANY_JSON = json_values(st.integers())
 # coordinate arrays that are often valid, and anything else
 COORDS = st.lists(st.integers() | st.floats() | st.lists(st.integers(-9, 9), max_size=4),
                   min_size=1, max_size=5) | ANY_JSON
-# a field holds small ints only: a prime ell, or a long min_poly, of
-# arbitrary size would build a field of that degree
-SMALL_JSON = json_values(st.integers(-99, 99))
-FIELDS = SMALL_JSON | st.fixed_dictionaries(
-    {"kind": st.sampled_from(["rational", "cyclotomic", "number_field"]) | SMALL_JSON},
-    optional={"ell": st.sampled_from([5, 7]) | SMALL_JSON,
+FIELDS = ANY_JSON | st.fixed_dictionaries(
+    {"kind": st.sampled_from(["rational", "cyclotomic", "number_field"]) | ANY_JSON},
+    optional={"ell": st.sampled_from([5, 7]) | st.integers() | ANY_JSON,
               "min_poly": st.lists(st.integers(-3, 3), max_size=3).map(lambda c: c + [1])
-              | SMALL_JSON})
+              | ANY_JSON})
 CLI_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
@@ -248,6 +247,9 @@ def test_any_json_point_exits_0_or_2(point):
 @example({"kind": "cyclotomic", "ell": 5.7}, [1, 2])
 @example({"kind": "number_field", "min_poly": 5}, [1, 2])
 @example({"kind": "number_field", "min_poly": [0, 0, 1]}, [["1"], ["0", "1"]])
+@example({"kind": "cyclotomic", "ell": 10007}, [1, 2])
+@example({"kind": "cyclotomic", "ell": 257}, [1, 2])
+@example({"kind": "number_field", "min_poly": [1] * 300}, [1, 2])
 def test_any_json_point_file_exits_0_or_2(field_doc, coords):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "point.json"
@@ -299,7 +301,7 @@ def test_readme_commands_run(capsys):
     block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = block.replace("\\\n", " ").splitlines()
     commands = [shlex.split(line)[1:] for line in lines if line.startswith("superspan ")]
-    assert len(commands) == 9
+    assert len(commands) == 10
     for argv in commands:
         code, _, err = run_cli(capsys, *argv)
         assert code == 0, (argv, err)
@@ -349,6 +351,25 @@ def _run_limited(argv, **env):
     code = f"import sys; from superspan.cli import main; sys.exit(main({argv!r}))"
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=30, preexec_fn=_limit_memory)
+
+
+@pytest.mark.parametrize("argv", [
+    ["detect", "--field", "cyclotomic:10007", "--point", "[1,2,3]",
+     "--d", "2", "--r", "2", "--max-iter", "4"],
+    ["detect", "--point-file", "point.json", "--d", "2", "--r", "2", "--max-iter", "4"],
+    ["relations", "--field", "numberfield:" + ",".join(["1"] * 300), "--point", "[1,2]"],
+    ["verify", "cyclotomic", "--ell", "10007"],
+], ids=["cyclotomic:10007", "point file ell 10007", "300 coefficients", "verify --ell 10007"])
+def test_field_degree_is_capped(tmp_path, argv):
+    # building a field of degree 10006 would take minutes and gigabytes
+    point_file = tmp_path / "point.json"
+    point_file.write_text('{"field": {"kind": "cyclotomic", "ell": 10007}, "coords": [1, 2, 3]}')
+    argv = [str(point_file) if a == "point.json" else a for a in argv]
+    start = time.monotonic()
+    proc = _run_limited(argv)
+    assert time.monotonic() - start < 1
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"exceeds the cap {MAX_FIELD_DEGREE}" in proc.stderr
 
 
 @pytest.mark.parametrize("how", ["flag", "environment"])

@@ -12,6 +12,7 @@ from superspan.errors import (
     MixedAmbients,
     NonMonicPolynomial,
     NonPrimeCyclotomicOrder,
+    Unsupported,
     ZeroDegree,
     ZeroToZeroPower,
 )
@@ -57,6 +58,21 @@ def test_make_field_errors():
         field.cyclotomic_field(9)
     with pytest.raises(NonPrimeCyclotomicOrder):
         field.cyclotomic_field(2)
+
+
+def test_field_degree_cap(monkeypatch):
+    assert field.MAX_FIELD_DEGREE == 256
+    assert field.cyclotomic_field(257).degree == 256
+    assert field.number_field([1] * 256 + [1, 0, 0]).degree == 256  # trailing zeros trimmed
+    # the cap is checked before the primality test and before any reduction row
+    monkeypatch.setattr(field, "is_prime", lambda n: pytest.fail("primality tested"))
+    monkeypatch.setattr(field, "_reduction_rows", lambda f: pytest.fail("rows built"))
+    with pytest.raises(Unsupported, match="field degree 10006 exceeds the cap 256"):
+        field.cyclotomic_field(10007)
+    with pytest.raises(Unsupported, match="field degree 1000000006"):
+        field.cyclotomic_field(10 ** 9 + 7)
+    with pytest.raises(Unsupported, match="field degree 257"):
+        field.number_field([1] * 258)
 
 
 def test_rational_add():

@@ -86,22 +86,21 @@ def test_span_representative_invariance():
 
 def test_modular_filter_certifies_generic():
     P = ProjPoint.rational([1, 2, 3])
-    verdict = linalg.modular_rank_filter(ModularOrbit(P, 2, [10007], 1), (0, 1, 2), 2)
-    assert verdict.certified
-    assert verdict.prime == 10007
+    orbit = ModularOrbit(P, 2, [10007], 1)
+    assert (0, 1, 2) not in linalg.modular_rank_filter(orbit, (0,), 2)
+    assert orbit.primes == [10007] and len(orbit.echelon(10007, (0, 1, 2))) == 3
 
 
 def test_modular_filter_candidate():
     P = ProjPoint.rational([1, 2, -3])
     orbit = ModularOrbit(P, 2, [10007, 65537, 1000003], 3)
-    verdict = linalg.modular_rank_filter(orbit, (0, 1, 2), 2)
-    assert not verdict.certified
+    assert (0, 1, 2) in linalg.modular_rank_filter(orbit, (0,), 2)
 
 
 def test_modular_filter_all_primes_bad():
     P = ProjPoint.rational([1, Fraction(1, 7), 3])
     with pytest.raises(AllPrimesBad):
-        linalg.modular_rank_filter(ModularOrbit(P, 2, [7], 1), (0, 1, 2), 2)
+        linalg.modular_rank_filter(ModularOrbit(P, 2, [7], 1), (0,), 2)
 
 
 def test_modular_rank_below_exact():
@@ -122,8 +121,8 @@ def test_filter_never_certifies_true_exceptional():
     P = ProjPoint.rational([1, 2, -3])
     for m in combinations(range(5), 3):
         exact_rank = linalg.rank(iterate_matrix(P, 2, m).rows())
-        verdict = linalg.modular_rank_filter(ModularOrbit(P, 2, [10007, 65537], 2), m, 2)
-        if verdict.certified:
+        orbit = ModularOrbit(P, 2, [10007, 65537], 2)
+        if m not in linalg.modular_rank_filter(orbit, m[:-2], m[-1]):
             assert exact_rank == 3
 
 
@@ -133,8 +132,9 @@ def test_cyclotomic_filter_matches_exact():
     P = ProjPoint(C5, [C5.one(), z, C5.from_rational(2), C5.from_rational(3)])
     # iterates 0, 4, 8 of d=2 agree in the zeta coordinate (2^n mod 5 cycle);
     # 10061 = 1 (mod 5), so Phi_5 has a root there
-    verdict = linalg.modular_rank_filter(ModularOrbit(P, 2, [10061], 1), (0, 4, 8), 2)
-    assert verdict.certified and verdict.prime == 10061
+    orbit = ModularOrbit(P, 2, [10061], 1)
+    assert (0, 4, 8) not in linalg.modular_rank_filter(orbit, (0,), 8)
+    assert orbit.primes == [10061] and len(orbit.echelon(10061, (0, 4, 8))) == 3
     assert linalg.rank(iterate_matrix(P, 2, (0, 4, 8)).rows()) == 3
 
 

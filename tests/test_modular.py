@@ -4,7 +4,7 @@ and the soundness of the rank filter, over Q, Q(zeta_5) and the sextic."""
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations, islice, repeat
-from math import log
+from math import comb, log
 
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
@@ -54,6 +54,11 @@ def evaluate(coeffs, x, p):
 def image(value, p, root):
     """value in F_p: its coefficients mod p evaluated at the root."""
     return evaluate(value.num, root, p) * pow(value.den, -1, p) % p
+
+
+def certifying_prime(orbit, m):
+    """The first filter prime at which the rows of m have full rank."""
+    return next((p for p in orbit.primes if len(orbit.echelon(p, m)) == len(m)), None)
 
 
 def max_index(d, cap):
@@ -279,14 +284,15 @@ def test_filter_never_certifies_rank_deficient(case):
         orbit = ModularOrbit(P, d, primes, len(primes))
     except AllPrimesBad:
         return
-    verdict = linalg.modular_rank_filter(orbit, m, r)
+    certified = m not in linalg.modular_rank_filter(orbit, m[:-2], m[-1])
     exact = linalg.rank(iterate_matrix(P, d, m).rows())
     event(f"exact rank {'full' if exact == r + 1 else 'deficient'}, "
-          f"{'certified' if verdict.certified else 'candidate'}")
-    if verdict.certified:
+          f"{'certified' if certified else 'candidate'}")
+    if certified:
         assert exact == r + 1
-        assert verdict.diagnostics["ranks"][verdict.prime] == r + 1
-    assert all(rank <= exact for rank in verdict.diagnostics["ranks"].values())
+    # certified exactly when some prime has rank r + 1
+    assert certified == (certifying_prime(orbit, m) is not None)
+    assert all(len(orbit.echelon(p, m)) <= exact for p in orbit.primes)
 
 
 @st.composite
@@ -329,12 +335,67 @@ def test_filter_verdicts_do_not_depend_on_call_order(case):
     except AllPrimesBad:
         return
     for m in tuples:
-        verdict = linalg.modular_rank_filter(orbit, m, r)
+        uncertified = linalg.modular_rank_filter(orbit, m[:-2], m[-1])
         fresh = ModularOrbit(P, d, primes, len(primes))
-        assert verdict == linalg.modular_rank_filter(fresh, m, r)
-        event("certified" if verdict.certified else "candidate")
-        if any(rank < len(m) - 1 for rank in verdict.diagnostics["ranks"].values()):
+        assert uncertified == linalg.modular_rank_filter(fresh, m[:-2], m[-1])
+        assert [orbit.echelon(p, m) for p in orbit.primes] == \
+            [fresh.echelon(p, m) for p in fresh.primes]
+        event("candidate" if m in uncertified else "certified")
+        if any(len(orbit.echelon(p, m[:-1])) < len(m) - 1 for p in orbit.primes):
             event("a prefix drops rank mod p")
+
+
+def reference_filter(orbit, prefix, max_iter):
+    """The tuples prefix + (c, l) that no filter prime certifies, one
+    rank computation per tuple and prime, in lexicographic order."""
+    start = prefix[-1] + 1 if prefix else 0
+    tuples = (prefix + pair for pair in combinations(range(start, max_iter + 1), 2))
+    return [m for m in tuples
+            if not any(len(linalg.echelon_mod_p([orbit.row(p, i) for i in m], p)) == len(m)
+                       for p in orbit.primes)]
+
+
+@st.composite
+def prefix_cases(draw):
+    """(point, d, (r-1)-prefix, max_iter, primes); rows mod p are cheap,
+    so max_iter may pass the cap on exact iterates."""
+    P, d, m, r, primes = draw(orbit_cases(rank_cases=True))
+    return P, d, m[:-2], m[-1] + draw(st.integers(0, 8)), primes
+
+
+@PROPERTY
+@given(prefix_cases())
+@example((ProjPoint.rational([1, 2, -3]), 2, (), 8, [3, 10007]))       # r = 1
+@example((ProjPoint(C5, [1, ZETA, ZETA ** 2]), 2, (0,), 9, [11, 31]))  # row 4 reduces to zero
+# the prefix drops rank at 31, where 2^16 = 2, and not at 11
+@example((ProjPoint(C5, [1, ZETA, ZETA ** 2, 2]), 2, (0, 4), 10, [11, 31]))
+@example((ProjPoint(C5, [1, ZETA, ZETA ** 2, 2]), 2, (0, 4), 10, [31]))
+@example((ProjPoint(C5, [1, ZETA - 3, 2]), 2, (0,), 8, [11]))          # a zero column
+@example((ProjPoint(C5, [1, ZETA, 2]), 10, (1,), 7, [11]))             # p - 1 | d^m
+@example((sextic_point(), 2, (0,), 10, [7, 13]))
+@example((sextic_point(), 2, (2,), 12, [7, 13]))
+def test_filter_matches_per_tuple_reference(case):
+    P, d, prefix, max_iter, primes = case
+    try:
+        orbit = ModularOrbit(P, d, primes, len(primes))
+    except AllPrimesBad:
+        return
+    expected = reference_filter(orbit, prefix, max_iter)
+    assert linalg.modular_rank_filter(orbit, prefix, max_iter) == expected
+    if any(len(orbit.echelon(p, prefix)) < len(prefix) for p in orbit.primes):
+        event("the prefix drops rank mod p")
+    event("every tuple certified" if not expected else "some tuple uncertified")
+
+
+@pytest.mark.parametrize("coords, r, M", [([1, 2, -3], 2, 60), ([1, 2, 3, 6], 3, 24)])
+def test_filter_reduces_each_index_once_per_prefix(monkeypatch, coords, r, M):
+    """The filter reads about one row per index and (r-1)-prefix, not
+    one per tuple: C(M+1, r) against C(M+1, r+1)."""
+    calls = []
+    row = ModularOrbit.row
+    monkeypatch.setattr(ModularOrbit, "row", lambda self, p, m: calls.append(m) or row(self, p, m))
+    enumerate_exceptional(ProjPoint.rational(coords), 2, r, M)
+    assert 0 < len(calls) < 2 * comb(M + 1, r)
 
 
 SQUARE = field.number_field([0, 0, 1])          # x^2
@@ -359,7 +420,7 @@ def test_filter_is_sound_where_f_is_not_squarefree(P, primes):
     for r in range(1, P.dim):
         for m in combinations(range(M + 1), r + 1):
             full = linalg.rank(exact.rows(m)) == r + 1
-            if linalg.modular_rank_filter(orbit, m, r).certified:
+            if m not in linalg.modular_rank_filter(orbit, m[:-2], m[-1]):
                 certified += 1
                 assert full
             if full:
@@ -410,9 +471,10 @@ def test_bad_prime_reasons():
     # its rows have a zero column, so it cannot certify
     assert orbit.image(11, ZETA) == 3
     assert orbit.row(11, 2) == (1, 0, 5)
-    verdict = linalg.modular_rank_filter(ModularOrbit(P, 2, [11, 31], 2), (0, 1, 2), 2)
-    assert verdict.diagnostics == {"ranks": {11: 2, 31: 3}}
-    assert verdict.prime == 31
+    orbit = ModularOrbit(P, 2, [11, 31], 2)
+    assert (0, 1, 2) not in linalg.modular_rank_filter(orbit, (0,), 2)
+    assert {p: len(orbit.echelon(p, (0, 1, 2))) for p in orbit.primes} == {11: 2, 31: 3}
+    assert certifying_prime(orbit, (0, 1, 2)) == 31
     with pytest.raises(AllPrimesBad, match="no root"):
         ModularOrbit(P, 2, [7, 2], 2)
 
