@@ -65,7 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--max-iter", type=int, required=True)
     p.add_argument("--primes", type=int, default=detect.DEFAULT_FILTER_PRIME_COUNT,
-                   help="number of filter primes (0 disables the filter)")
+                   help=f"number of filter primes, 0..{detect.MAX_FILTER_PRIME_COUNT} "
+                        "(0 disables the filter)")
     p.add_argument("--seed", type=int, default=detect.DEFAULT_SEED)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     add_common(p)

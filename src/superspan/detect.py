@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from typing import Iterator, List, Optional
 
@@ -42,6 +42,9 @@ from .linalg import (Subspace, echelon_mod_p, modular_rank_filter, residual_mod_
 from .orbit import ExactOrbit, ModularOrbit, ProjPoint, check_orbits
 
 DEFAULT_FILTER_PRIME_COUNT = 3
+# each filter prime costs a reduction of every coordinate and subspace
+# basis, and the stream never yields past its about 2.7e7 primes
+MAX_FILTER_PRIME_COUNT = 100
 DEFAULT_SEED = 0
 
 
@@ -126,7 +129,8 @@ def enumerate_exceptional(P: ProjPoint, d: int, r: int, max_iter: int,
     The filter uses the first prime_count primes of the seeded stream
     that are usable for P (see ModularOrbit).  prime_count 0 turns the
     filter off: every tuple is checked exactly, the reference run the
-    filtered runs must agree with.
+    filtered runs must agree with.  Raises ValueError for a prime_count
+    outside 0..MAX_FILTER_PRIME_COUNT, before any prime is drawn.
     """
     n = P.dim
     if r == 0:
@@ -139,28 +143,30 @@ def enumerate_exceptional(P: ProjPoint, d: int, r: int, max_iter: int,
         raise ValueError(f"iterate bound {max_iter} cannot host an (r+1)-tuple")
     if prime_count < 0:
         raise ValueError(f"filter prime count {prime_count} is negative")
+    if prime_count > MAX_FILTER_PRIME_COUNT:
+        raise ValueError(f"filter prime count {prime_count} exceeds the cap "
+                         f"{MAX_FILTER_PRIME_COUNT}")
     exact = ExactOrbit(P, d, budget)
     orbit = ModularOrbit(P, d, _prime_stream(seed), prime_count) if prime_count else None
 
+    if orbit is None:
+        survivors = combinations(range(max_iter + 1), r + 1)
+    else:
+        # one call returns one prefix's survivors in lexicographic order,
+        # so prefixes in lexicographic order keep the whole run in it
+        survivors = chain.from_iterable(
+            modular_rank_filter(orbit, prefix, max_iter)
+            for prefix in combinations(range(max_iter - 1), r - 1))
     confirmed: List[tuple] = []
     skipped = []
-    filtered_out = 0
     exact_checked = 0
-    # each (r-1)-prefix, in lexicographic order, with the pairs after it
-    for prefix in combinations(range(max_iter - 1), r - 1):
-        start = prefix[-1] + 1 if prefix else 0
-        if orbit is None:
-            survivors = [prefix + pair for pair in combinations(range(start, max_iter + 1), 2)]
-        else:
-            survivors = modular_rank_filter(orbit, prefix, max_iter)
-            filtered_out += comb(max_iter + 1 - start, 2) - len(survivors)
-        for m in survivors:
-            exact_checked += 1
-            try:
-                if super_rank(exact.rows(m)):
-                    confirmed.append(m)
-            except ExponentBudgetExceeded as exc:
-                skipped.append({"tuple": list(m), "reason": str(exc)})
+    for m in survivors:
+        exact_checked += 1
+        try:
+            if super_rank(exact.rows(m)):
+                confirmed.append(m)
+        except ExponentBudgetExceeded as exc:
+            skipped.append({"tuple": list(m), "reason": str(exc)})
 
     # confirmed tuples arrive in lexicographic order, so the groups'
     # insertion order is the order of their least preimage tuples
@@ -180,9 +186,11 @@ def enumerate_exceptional(P: ProjPoint, d: int, r: int, max_iter: int,
                             "reason": str(exc)})
         records.append(SubspaceRecord(L, tuple(preimage), hits))
 
+    tuples_total = comb(max_iter + 1, r + 1)
     diagnostics = {
-        "tuples_total": comb(max_iter + 1, r + 1),
-        "filtered": filtered_out,
+        "tuples_total": tuples_total,
+        # every tuple is either filtered out or checked exactly
+        "filtered": tuples_total - exact_checked,
         "exact_checked": exact_checked,
         "confirmed": len(confirmed),
         "skipped": skipped,

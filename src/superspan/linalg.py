@@ -14,13 +14,14 @@ nonzero minor found by elimination on plain ints mod p proves a nonzero
 minor exactly.  Entries are v ** e with e = d^m mod (p-1), or p-1 when
 that is 0 so a zero entry stays zero (Fermat), which keeps the filter
 cost independent of the size of d^m.  One call decides every tuple
-that extends an (r-1)-prefix by two later indices: each later row is
-reduced once against the prefix's basis, and the rows are grouped by
-their residual up to scaling, so the cost is one reduction per index
-rather than one rank check per tuple.  One elimination kernel works mod
-p: echelon_mod_p builds an echelon basis row by row and residual_mod_p
-reduces a row against it, for the filter's prefix bases and for the
-subspaces of the intersection counts alike.
+that extends an (r-1)-prefix by two later indices: the prefix's r - 1
+rows are echeloned once per prime, each later row is reduced once
+against that basis, and the rows are grouped by their residual up to
+scaling, so the cost is one reduction per index rather than one rank
+check per tuple.  One elimination kernel works mod p: echelon_mod_p
+builds an echelon basis row by row and residual_mod_p reduces a row
+against it, for the filter's prefix bases and for the subspaces of the
+intersection counts alike.
 """
 
 from __future__ import annotations
@@ -301,7 +302,7 @@ def modular_rank_filter(orbit, prefix: Sequence[int], max_iter: int) -> list:
     indices = range(prefix[-1] + 1 if prefix else 0, max_iter + 1)
     pairs = None  # uncertified pairs so far; None before a prime certifies
     for p in orbit.primes:
-        basis = orbit.echelon(p, prefix)
+        basis = echelon_mod_p([orbit.row(p, i) for i in prefix], p)
         if len(basis) < len(prefix):
             continue
         if pairs is not None:

@@ -196,15 +196,8 @@ class ModularOrbit:
     rationals).  That is a ring homomorphism, so the row of iterate m is
     v_j ** (d^m) = pow(v_j, e, p) by Fermat, with e = d^m mod (p-1)
     taken as p-1 when it is 0, which keeps a zero image 0.
-    Rows are computed lazily, once per (prime, iterate index).
-
-    echelon(p, prefix) serves the rank filter: each usable prime keeps a
-    chain of echelon bases mod p, of the rows m_0, then m_0 and m_1, and
-    so on.  A call keeps the part of the chain that agrees with its
-    prefix and extends it by the remaining rows, so the filter's
-    (r-1)-prefixes, taken in lexicographic order, mostly eliminate only
-    their last row; the chain is checked against the indices, so the
-    result does not depend on the order of the calls.
+    Rows are computed lazily, once per (prime, iterate index), and kept;
+    the rank filter does its own elimination on them.
 
     Primes are drawn from the iterable until count usable ones are
     found.  A prime is unusable for the point when f has no root mod p
@@ -227,7 +220,6 @@ class ModularOrbit:
         self.bad_primes = {}   # unusable prime drawn -> reason
         self._values = {}      # usable prime -> coordinate images v_j, in draw order
         self._rows = {}        # (prime, iterate index) -> row of residues
-        self._chains = {}      # usable prime -> (indices, echelon basis of each prefix)
         reason = None
         for p in islice(primes, self.DRAWS_PER_PRIME * count * point.ambient.degree):
             try:
@@ -254,21 +246,6 @@ class ModularOrbit:
             e = pow(self.degree, m, p - 1) or p - 1
             row = self._rows[p, m] = tuple(pow(v, e, p) for v in self._values[p])
         return row
-
-    def echelon(self, p: int, prefix: tuple) -> tuple:
-        """The echelon basis mod the usable prime p (see
-        linalg.echelon_mod_p) of the rows of the iterates in prefix, an
-        increasing tuple of indices; the filter passes (r-1)-prefixes."""
-        indices, bases = self._chains.get(p, ((), [()]))
-        if indices != prefix:
-            k = 0
-            while k < len(indices) and k < len(prefix) and indices[k] == prefix[k]:
-                k += 1
-            bases = bases[:k + 1]  # bases[k]: the basis of the first k rows
-            for mi in prefix[k:]:
-                bases.append(linalg.echelon_mod_p([self.row(p, mi)], p, bases[-1]))
-            self._chains[p] = (prefix, bases)
-        return bases[-1]
 
 
 def subspace_membership(Q: ProjPoint, L: linalg.Subspace) -> bool:

@@ -1,4 +1,6 @@
+import ast
 import json
+import re
 import resource
 import shlex
 import subprocess
@@ -294,11 +296,65 @@ def test_detect_negative_prime_count_rejected(capsys):
     assert "negative" in err
 
 
+def test_detect_prime_count_is_capped():
+    # past the about 2.7e7 primes the stream holds it never yields again,
+    # so a huge count would run until killed
+    start = time.monotonic()
+    proc = _run_limited(["detect", "--point", "[1,2,-3]", "--d", "2", "--r", "2",
+                         "--max-iter", "5", "--primes", str(detect.MAX_FILTER_PRIME_COUNT + 1)])
+    assert time.monotonic() - start < 1
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"exceeds the cap {detect.MAX_FILTER_PRIME_COUNT}" in proc.stderr
+
+
+def readme_block(heading, language):
+    """The first fenced block of the language under the README heading."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return text.split(heading, 1)[1].split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_tour_results_are_the_commented_ones():
+    # each line "expr  # literal" of the library tour evaluates to the literal
+    namespace, checked = {}, 0
+    block = readme_block("## Library tour", "python")
+    for node in ast.parse(block).body:
+        source = ast.get_source_segment(block, node)
+        if not isinstance(node, ast.Expr):
+            exec(source, namespace)
+            continue
+        comment = block.splitlines()[node.lineno - 1].partition("#")[2]
+        value = eval(source, namespace)
+        try:
+            expected = ast.literal_eval(comment.strip())
+        except (ValueError, SyntaxError):
+            continue
+        assert value == expected, source
+        checked += 1
+    assert checked == 3
+
+
+def test_readme_max_iter_100_comment_holds(capsys):
+    block = readme_block("## Command line", "sh")
+    comment, command = re.search(r"((?:# .*\n)+)(superspan detect .*--max-iter 100)\n",
+                                 block).groups()
+    comment = " ".join(line[2:] for line in comment.splitlines())
+    numbers = re.search(r"rules out ([\d ]+) of the ([\d ]+) triples, and the line "
+                        r"holds (\d+) of the (\d+) iterates", comment).groups()
+    filtered, total, hits, iterates = (int(x.replace(" ", "")) for x in numbers)
+    code, out, err = run_cli(capsys, *shlex.split(command)[1:])
+    assert code == 0, err
+    doc = json.loads(out)
+    assert (filtered, total, hits, iterates) == (166649, 166650, 3, 101)
+    assert doc["diagnostics"]["filtered"] == filtered
+    assert doc["diagnostics"]["tuples_total"] == total
+    assert [rec["intersection_count"] for rec in doc["subspaces"]] == [hits]
+    assert iterates == doc["input"]["max_iter"] + 1
+
+
 def test_readme_commands_run(capsys):
     # every superspan line of the sh block under "## Command line", with
     # continuation lines joined, so a removed flag cannot linger there
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    block = readme_block("## Command line", "sh")
     lines = block.replace("\\\n", " ").splitlines()
     commands = [shlex.split(line)[1:] for line in lines if line.startswith("superspan ")]
     assert len(commands) == 10

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, islice
-from math import log
+from math import comb, log
 
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
@@ -129,6 +129,16 @@ def test_degree_below_2_fails_before_any_prime_is_drawn(monkeypatch):
     with pytest.raises(ValueError, match="degree must be >= 2"):
         enumerate_exceptional(sextic_point(), 1, 2, 6)
     assert calls == []
+
+
+def test_prime_count_cap_fails_before_any_prime_is_drawn(monkeypatch):
+    def no_stream(seed):
+        raise AssertionError("a filter prime was drawn")
+
+    monkeypatch.setattr(detect, "_prime_stream", no_stream)
+    with pytest.raises(ValueError, match=f"exceeds the cap {detect.MAX_FILTER_PRIME_COUNT}"):
+        enumerate_exceptional(ProjPoint.rational([1, 2, -3]), 2, 2, 5,
+                              prime_count=detect.MAX_FILTER_PRIME_COUNT + 1)
 
 
 def test_budget_skips_are_reported():
@@ -377,6 +387,66 @@ def test_modular_count_keeps_budget_errors():
     assert intersection_count(P, 2, L, 60, orbit=orbit, exact=ExactOrbit(P, 2, 4096)) == 3
     with pytest.raises(ExponentBudgetExceeded):
         intersection_count(P, 2, L, 14, exact=ExactOrbit(P, 2, 4096))
+
+
+# ----------------------------------------------------------------------
+# the tuples a run checks exactly
+# ----------------------------------------------------------------------
+
+@st.composite
+def run_cases(draw):
+    """(point, d, r, max_iter, primes) for r from 1 to 4; the filter
+    primes mix usable ones with ones unusable for the point."""
+    kind = draw(st.sampled_from(sorted(COUNT_FIELDS)))
+    specials, pool, cap = COUNT_FIELDS[kind]
+    K = specials[0].ambient
+    r = draw(st.integers(1, 4))
+    n = draw(st.integers(r, 4))
+    P = ProjPoint(K, [K.one()] + [draw(st.sampled_from(specials)) for _ in range(n)])
+    d = draw(st.sampled_from((2, 3)))
+    top = int(log(cap) / log(d) + 1e-9)
+    M = draw(st.integers(r, min(top, r + 5)))  # top >= 5 for every field and d
+    primes = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+    return P, d, r, M, primes
+
+
+@PROPERTY
+@given(run_cases())
+# iterates 0 and 4 agree mod every prime, so every tuple holding both is uncertified
+@example((ProjPoint(C5, [C5.one(), ZETA, ZETA ** 2]), 2, 2, 9, [11, 31]))
+# the prefix (0, 4) drops rank at 31, where 2^16 = 2, and not at 11
+@example((ProjPoint(C5, [C5.one(), ZETA, ZETA ** 2, C5.from_rational(2)]), 2, 3, 9, [11, 31]))
+@example((ProjPoint.rational([1, 2, -3]), 2, 2, 8, [3, 10007]))
+@example((sextic_point(), 2, 2, 6, [2, 3, 31, 257]))
+@example((ProjPoint.rational([1, 2, 3, 5, 7]), 2, 4, 9, [5, 13]))
+def test_run_checks_the_uncertified_tuples_in_order(case):
+    """With the filter on, exactly the tuples no filter prime certifies,
+    by a per-tuple elimination, reach super_rank, in lexicographic
+    order; with it off, every tuple does."""
+    P, d, r, M, primes = case
+    try:
+        orbit = ModularOrbit(P, d, primes, len(primes))
+    except AllPrimesBad:
+        assume(False)
+    tuples = list(combinations(range(M + 1), r + 1))
+    uncertified = [m for m in tuples
+                   if not any(len(linalg.echelon_mod_p([orbit.row(p, i) for i in m], p)) == r + 1
+                              for p in orbit.primes)]
+    exact = ExactOrbit(P, d)
+    for prime_count, expected in ((len(primes), uncertified), (0, tuples)):
+        received = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detect, "_prime_stream", lambda seed: iter(primes))
+            # record each matrix and confirm none, so the run stops there
+            mp.setattr(detect, "super_rank", lambda rows: received.append(rows))
+            report = enumerate_exceptional(P, d, r, M, prime_count=prime_count)
+        assert report.diagnostics["primes"] == (orbit.primes if prime_count else [])
+        assert received == [exact.rows(m) for m in expected]
+        assert report.diagnostics["exact_checked"] == len(expected)
+        assert report.diagnostics["filtered"] == comb(M + 1, r + 1) - len(expected)
+    event(f"r = {r}")
+    event("every tuple certified" if not uncertified else
+          "no tuple certified" if uncertified == tuples else "some tuple certified")
 
 
 # ----------------------------------------------------------------------

@@ -88,7 +88,8 @@ def test_modular_filter_certifies_generic():
     P = ProjPoint.rational([1, 2, 3])
     orbit = ModularOrbit(P, 2, [10007], 1)
     assert (0, 1, 2) not in linalg.modular_rank_filter(orbit, (0,), 2)
-    assert orbit.primes == [10007] and len(orbit.echelon(10007, (0, 1, 2))) == 3
+    rows = [orbit.row(10007, i) for i in (0, 1, 2)]
+    assert orbit.primes == [10007] and len(linalg.echelon_mod_p(rows, 10007)) == 3
 
 
 def test_modular_filter_candidate():
@@ -134,7 +135,8 @@ def test_cyclotomic_filter_matches_exact():
     # 10061 = 1 (mod 5), so Phi_5 has a root there
     orbit = ModularOrbit(P, 2, [10061], 1)
     assert (0, 4, 8) not in linalg.modular_rank_filter(orbit, (0,), 8)
-    assert orbit.primes == [10061] and len(orbit.echelon(10061, (0, 4, 8))) == 3
+    rows = [orbit.row(10061, i) for i in (0, 4, 8)]
+    assert orbit.primes == [10061] and len(linalg.echelon_mod_p(rows, 10061)) == 3
     assert linalg.rank(iterate_matrix(P, 2, (0, 4, 8)).rows()) == 3
 
 

@@ -56,9 +56,14 @@ def image(value, p, root):
     return evaluate(value.num, root, p) * pow(value.den, -1, p) % p
 
 
+def echelon(orbit, p, m):
+    """The echelon basis mod p of the rows of the iterates m."""
+    return linalg.echelon_mod_p([orbit.row(p, i) for i in m], p)
+
+
 def certifying_prime(orbit, m):
     """The first filter prime at which the rows of m have full rank."""
-    return next((p for p in orbit.primes if len(orbit.echelon(p, m)) == len(m)), None)
+    return next((p for p in orbit.primes if len(echelon(orbit, p, m)) == len(m)), None)
 
 
 def max_index(d, cap):
@@ -292,7 +297,7 @@ def test_filter_never_certifies_rank_deficient(case):
         assert exact == r + 1
     # certified exactly when some prime has rank r + 1
     assert certified == (certifying_prime(orbit, m) is not None)
-    assert all(len(orbit.echelon(p, m)) <= exact for p in orbit.primes)
+    assert all(len(echelon(orbit, p, m)) <= exact for p in orbit.primes)
 
 
 @st.composite
@@ -338,10 +343,10 @@ def test_filter_verdicts_do_not_depend_on_call_order(case):
         uncertified = linalg.modular_rank_filter(orbit, m[:-2], m[-1])
         fresh = ModularOrbit(P, d, primes, len(primes))
         assert uncertified == linalg.modular_rank_filter(fresh, m[:-2], m[-1])
-        assert [orbit.echelon(p, m) for p in orbit.primes] == \
-            [fresh.echelon(p, m) for p in fresh.primes]
+        assert orbit.primes == fresh.primes
+        assert all(orbit.row(p, i) == fresh.row(p, i) for p in orbit.primes for i in m)
         event("candidate" if m in uncertified else "certified")
-        if any(len(orbit.echelon(p, m[:-1])) < len(m) - 1 for p in orbit.primes):
+        if any(len(echelon(orbit, p, m[:-1])) < len(m) - 1 for p in orbit.primes):
             event("a prefix drops rank mod p")
 
 
@@ -351,8 +356,7 @@ def reference_filter(orbit, prefix, max_iter):
     start = prefix[-1] + 1 if prefix else 0
     tuples = (prefix + pair for pair in combinations(range(start, max_iter + 1), 2))
     return [m for m in tuples
-            if not any(len(linalg.echelon_mod_p([orbit.row(p, i) for i in m], p)) == len(m)
-                       for p in orbit.primes)]
+            if not any(len(echelon(orbit, p, m)) == len(m) for p in orbit.primes)]
 
 
 @st.composite
@@ -382,7 +386,7 @@ def test_filter_matches_per_tuple_reference(case):
         return
     expected = reference_filter(orbit, prefix, max_iter)
     assert linalg.modular_rank_filter(orbit, prefix, max_iter) == expected
-    if any(len(orbit.echelon(p, prefix)) < len(prefix) for p in orbit.primes):
+    if any(len(echelon(orbit, p, prefix)) < len(prefix) for p in orbit.primes):
         event("the prefix drops rank mod p")
     event("every tuple certified" if not expected else "some tuple uncertified")
 
@@ -473,7 +477,7 @@ def test_bad_prime_reasons():
     assert orbit.row(11, 2) == (1, 0, 5)
     orbit = ModularOrbit(P, 2, [11, 31], 2)
     assert (0, 1, 2) not in linalg.modular_rank_filter(orbit, (0,), 2)
-    assert {p: len(orbit.echelon(p, (0, 1, 2))) for p in orbit.primes} == {11: 2, 31: 3}
+    assert {p: len(echelon(orbit, p, (0, 1, 2))) for p in orbit.primes} == {11: 2, 31: 3}
     assert certifying_prime(orbit, (0, 1, 2)) == 31
     with pytest.raises(AllPrimesBad, match="no root"):
         ModularOrbit(P, 2, [7, 2], 2)
