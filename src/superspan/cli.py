@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -35,6 +36,7 @@ EXIT_BAD_INPUT = 2
 EXIT_PARTIAL = 3
 
 MIN_BUDGET = 2 ** 10
+MAX_ANALYZE_TERMS = 40320  # 8!: analyze expands tuples of length at most 8
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -205,6 +207,10 @@ def _cmd_analyze(args) -> int:
     budget = _resolve_budget(args)
     m = tuple(int(x) for x in args.m.split(","))
     r = len(m) - 1
+    terms = math.factorial(len(m))
+    if terms > MAX_ANALYZE_TERMS:
+        raise TooManyTerms(f"a tuple of length {len(m)} expands into {terms} terms; "
+                           f"analyze is capped at {MAX_ANALYZE_TERMS}")
     columns = (tuple(int(x) for x in args.columns.split(","))
                if args.columns else tuple(range(r + 1)))
     exact = ExactOrbit(P, args.d, budget)

@@ -253,11 +253,12 @@ def residual_mod_p(basis: Sequence[tuple], row: Sequence[int], p: int) -> list:
     return row
 
 
-def echelon_mod_p(rows: Sequence[Sequence[int]], p: int, basis: tuple = ()) -> tuple:
-    """basis extended, in order, by each of rows that is independent of
-    it mod p; its length is then the rank mod p of the rows it holds.
+def echelon_mod_p(rows: Sequence[Sequence[int]], p: int) -> tuple:
+    """An echelon basis mod p of rows, built from each row in order that
+    is independent of the rows before it; its length is the rank mod p.
     The basis is a tuple of (pivot column, row scaled to pivot 1) pairs,
-    as residual_mod_p reads it, and is never modified in place."""
+    as residual_mod_p reads it."""
+    basis = ()
     for row in rows:
         res = residual_mod_p(basis, row, p)
         col = next((j for j, v in enumerate(res) if v), None)

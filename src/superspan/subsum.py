@@ -6,12 +6,13 @@ signed sum of coordinate-power products, one term per permutation, and
 the structure of which subsums vanish is what controls whether distinct
 iterate tuples can produce the same normalized term data.
 
-This module computes the term vectors, searches exhaustively for the
-finest partition of S_{r+1} into zero-sum blocks with no vanishing
-proper subsums, classifies partitions against the distinguished
-partitions I-bullet-t = { {sigma : sigma(j) = t} : j }, and builds the
-per-block projectively-normalized fingerprints whose collisions witness
-non-injectivity.
+This module computes the term vectors, each with a table of its signed
+terms built once, which every block sum, total and search reads.  It
+searches exhaustively for the finest partition of S_{r+1} into zero-sum
+blocks with no vanishing proper subsums, classifies partitions against
+the distinguished partitions I-bullet-t = { {sigma : sigma(j) = t} : j },
+and builds the per-block projectively-normalized fingerprints whose
+collisions witness non-injectivity.
 
 Permutations are tuples in one-line notation; the canonical order is
 lexicographic, blocks are sorted by least element, and partitions are
@@ -20,7 +21,7 @@ compared blockwise, so every artifact here is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice, permutations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -73,33 +74,27 @@ def _validate_columns(p: Sequence[int], r: int, n: int) -> Tuple[int, ...]:
 class TermVector:
     """All (r+1)! signed terms of one expanded minor determinant.
 
-    entries maps each permutation to (sign, value); values are nonzero
-    because the point has no zero coordinates.
+    entries lists (perm, sign, value) in lex perm order; values are
+    nonzero because the point has no zero coordinates.  signed maps each
+    perm to its signed term, built once by negation, and every sum reads
+    it, so a block sum is linear in the block.
     """
 
     r: int
     entries: tuple  # tuple of (perm, sign, FieldValue) in lex perm order
+    signed: dict = field(init=False, compare=False, repr=False)
 
-    def values(self) -> Dict[Perm, object]:
-        return {perm: value for perm, _, value in self.entries}
-
-    def signed_value(self, perm: Perm):
-        for q, sign, value in self.entries:
-            if q == perm:
-                return value * sign
-        raise KeyError(perm)
+    def __post_init__(self):
+        object.__setattr__(self, "signed", {perm: value if sign > 0 else -value
+                                            for perm, sign, value in self.entries})
 
     def signed_sum(self):
-        total = None
-        for _, sign, value in self.entries:
-            term = value * sign
-            total = term if total is None else total + term
-        return total
+        return self.block_sum(self.signed)
 
     def block_sum(self, block: Sequence[Perm]):
         total = None
         for perm in block:
-            term = self.signed_value(perm)
+            term = self.signed[perm]
             total = term if total is None else total + term
         return total
 
@@ -157,8 +152,8 @@ class TermPartition:
         canon = tuple(sorted(tuple(sorted(b)) for b in blocks))
         seen = [perm for b in canon for perm in b]
         expected = symmetric_group(r)
-        if sorted(seen) != expected or len(seen) != len(set(seen)):
-            raise ShapeMismatch("blocks must partition the full symmetric group")
+        if not all(canon) or sorted(seen) != expected:
+            raise ShapeMismatch("blocks must be nonempty and partition the symmetric group")
         return cls(r, canon)
 
 
@@ -262,12 +257,9 @@ def finest_zero_partition(tv: TermVector) -> PartitionSearch:
     if len(tv.entries) > _MAX_SEARCH_TERMS:
         raise TooManyTerms(f"{len(tv.entries)} terms; exhaustive search capped at "
                            f"{_MAX_SEARCH_TERMS}")
-    total = tv.signed_sum()
-    if total is None or total:
+    if tv.signed_sum():
         raise NonVanishingTotal("signed term sum is nonzero")
-    signed = {perm: value * sign for perm, sign, value in tv.entries}
-    pool = [perm for perm, _, _ in tv.entries]
-    found = list(islice(_partitions_lex(pool, signed), 2))
+    found = list(islice(_partitions_lex(list(tv.signed), tv.signed), 2))
     if not found:
         raise NonVanishingTotal("no zero-sum partition found (inconsistent input)")
     partition = TermPartition.from_blocks(tv.r, found[0])
@@ -302,7 +294,7 @@ def fingerprint(P: ProjPoint, d: int, m: Sequence[int],
         if part.r != r:
             raise ShapeMismatch(f"partition for p={p} indexes r={part.r}, tuple has r={r}")
         tv = det_terms(P, d, m, p)
-        values = tv.values()
+        values = {perm: value for perm, _, value in tv.entries}
         for block in part.blocks:
             lead_inv = values[block[0]].inverse()
             out.append(tuple(values[perm] * lead_inv for perm in block))

@@ -572,6 +572,28 @@ def test_analyze_budget_exhaustion_writes_nothing(capsys):
     assert "exponent budget" in err
 
 
+def test_analyze_refuses_more_than_the_term_cap(capsys):
+    # 9! = 362880 terms: refused before any term is expanded
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "analyze", "--point", "[2,3,5,7,11,13,17,19,23]",
+                             "--d", "2", "--m", "0,1,2,3,4,5,6,7,8", "--mode", "bullet")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "362880 terms" in err and "capped at 40320" in err
+
+
+def test_analyze_term_cap_is_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(superspan.cli, "MAX_ANALYZE_TERMS", 24)
+    code, out, _ = run_cli(capsys, "analyze", "--point", "[1,2,3,5]",
+                           "--d", "2", "--m", "0,1,2,3")
+    assert code == 0 and len(json.loads(out)["terms"]) == 24
+    # the refusal is an input error even in finest mode, not a diagnostic
+    code, out, err = run_cli(capsys, "analyze", "--point", "[1,2,3,5,7]",
+                             "--d", "2", "--m", "0,1,2,3,4")
+    assert code == 2 and out == ""
+    assert "120 terms" in err and "capped at 24" in err
+
+
 def test_unknown_command(capsys):
     assert main(["frobnicate"]) == 2
 
@@ -633,6 +655,22 @@ def test_detect_golden_budget_limits_only_exact_work(capsys):
     doc = json.loads(out)
     assert doc["diagnostics"]["skipped"] == []
     assert [rec["intersection_count"] for rec in doc["subspaces"]] == [3]
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("analyze_1_2_-3_m012.json", ["--point", "[1,2,-3]", "--d", "2", "--m", "0,1,2"]),
+    ("analyze_1_2_-3_m012_bullet.json",
+     ["--point", "[1,2,-3]", "--d", "2", "--m", "0,1,2", "--mode", "bullet"]),
+    ("analyze_1_z5_z5sq_m045.json",
+     ["--field", "cyclotomic:5", "--point", '[["1"],["0","1"],["0","0","1"]]',
+      "--d", "2", "--m", "0,4,5"]),
+])
+def test_analyze_golden_report(capsys, golden, argv):
+    """The analyze document is pinned byte for byte: its terms, the
+    finest partition or bullet block sums, and the deleted-row ranks."""
+    code, out, _ = run_cli(capsys, "analyze", *argv)
+    assert code == 0
+    assert out == (Path(__file__).with_name("golden") / golden).read_text()
 
 
 @pytest.mark.parametrize("point, key", [

@@ -52,8 +52,8 @@ def test_bruteforce_labels_are_perms():
     hits = vanishing_subsum_bruteforce(tv)
     assert hits, "expected vanishing subsums for a torsion coordinate"
     for subset in hits:
-        assert sum((tv.signed_value(perm) for perm in subset),
-                   start=tv.signed_value(subset[0]) * 0).is_zero()
+        assert sum((tv.signed[perm] for perm in subset),
+                   start=tv.signed[subset[0]] * 0).is_zero()
         for perm in subset:
             assert isinstance(perm, tuple) and len(perm) == 3
 

@@ -149,6 +149,15 @@ def test_partition_validation():
         TermPartition.from_blocks(2, [symmetric_group(2)[:3]])
 
 
+@pytest.mark.parametrize("blocks", [
+    [[], symmetric_group(2)],  # an empty block would break fingerprint's block[0]
+    [symmetric_group(2), symmetric_group(2)[:1]],  # a perm in two blocks
+])
+def test_partition_validation_refuses_empty_and_repeated(blocks):
+    with pytest.raises(ShapeMismatch):
+        TermPartition.from_blocks(2, blocks)
+
+
 def test_finest_partition_pairing():
     tv = make_tv([1, -1, 1, -1, 1, -1])
     res = finest_zero_partition(tv)
@@ -169,12 +178,12 @@ def test_finest_partition_structured():
     subsets = vanishing_subsum_bruteforce(tv)
     res = finest_zero_partition(tv)
     for block in res.partition.blocks:
-        total = sum(tv.signed_value(perm).as_rational() for perm in block)
+        total = sum(tv.signed[perm].as_rational() for perm in block)
         assert total == 0
         assert block == tuple(symmetric_group(2)) or block in subsets
     # every emitted block is minimal
     for block in res.partition.blocks:
-        signed = {perm: tv.signed_value(perm).as_rational() for perm in block}
+        signed = {perm: tv.signed[perm].as_rational() for perm in block}
         for k in range(1, len(block)):
             for sub in combinations(block, k):
                 assert sum(signed[perm] for perm in sub) != 0
@@ -372,7 +381,7 @@ def test_finest_partition_is_canonically_least():
         signed = vals + [-v for v in vals]
         rng.shuffle(signed)
         tv = make_tv(signed)
-        signed_by_perm = {perm: tv.signed_value(perm).as_rational()
+        signed_by_perm = {perm: tv.signed[perm].as_rational()
                           for perm, _, _ in tv.entries}
         perms = [perm for perm, _, _ in tv.entries]
 
@@ -445,3 +454,51 @@ def test_det_terms_rejects_another_orbit(coords, d):
         det_terms(P, 2, (0, 1, 2), exact=ExactOrbit(ProjPoint.rational(coords), d))
     tv = det_terms(P, 2, (0, 1, 2), None, ExactOrbit(ProjPoint.rational([1, 2, -3]), 2))
     assert tv.signed_sum().is_zero()
+
+
+@st.composite
+def term_vectors(draw):
+    """det_terms of a random point over Q or Q(zeta_5) with r = 2 or 3."""
+    K = draw(st.sampled_from([Q, C5_TERMS]))
+    r = draw(st.integers(2, 3))
+    coeffs = st.integers(-3, 3)
+    coords = []
+    for _ in range(r + 1):
+        c = K.from_rational(draw(coeffs))
+        if K.degree > 1:
+            c = c + K.gen() * draw(coeffs)
+        assume(c)
+        coords.append(c)
+    m = tuple(sorted(draw(st.sets(st.integers(0, 3), min_size=r + 1, max_size=r + 1))))
+    return det_terms(ProjPoint(K, coords), 2, m)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(term_vectors())
+def test_signed_table_is_sign_times_value(tv):
+    assert list(tv.signed) == [perm for perm, _, _ in tv.entries]
+    for perm, sign, value in tv.entries:
+        assert tv.signed[perm] == value * sign
+
+
+def test_signed_sums_multiply_nothing(monkeypatch):
+    # the signed table is built by negation and sums only add
+    z = C5_TERMS.gen()
+    P = ProjPoint(C5_TERMS, [C5_TERMS.one(), z, z + 2, z * z - 3])
+    entries = det_terms(P, 2, (0, 1, 2, 3)).entries
+    calls = []
+    mul = field.FieldValue.__mul__
+
+    def counting_mul(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(field.FieldValue, "__mul__", counting_mul)
+    monkeypatch.setattr(field.FieldValue, "__rmul__", counting_mul)
+    tv = TermVector(3, entries)
+    tv.signed_sum()
+    for t in range(4):
+        for block in bullet_partition(3, t).blocks:
+            tv.block_sum(block)
+    assert calls == []
+    assert z * z and calls  # the counter sees a multiplication
