@@ -19,6 +19,14 @@ the count share one ExactOrbit, which computes each coordinate power at
 most once; a tuple repeating an orbit point (r >= 2) needs no
 elimination.
 
+A preperiodic orbit (every coordinate a root of unity) has finitely
+many distinct points.  A filtered run at r >= 2 works over those, the
+indices 0..M' below the first repeat, and expands its results back to
+index tuples, so its cost depends on the period, not on M, and no
+exponent past the period is formed.  The exact_checked diagnostic
+counts the tuples up to M that the filter leaves uncertified, whether
+or not each one reached an exact check.
+
 Finiteness of the set of such subspaces comes with no effective bound
 on the largest iterate index involved, so results are always reported
 relative to the explicit bound M; tuples skipped because exact
@@ -30,8 +38,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
-from itertools import chain, combinations
-from math import comb
+from itertools import chain, combinations, product
+from math import comb, prod
 from typing import Iterator, List, Optional
 
 from . import subsum
@@ -99,9 +107,14 @@ def intersection_count(P: ProjPoint, d: int, L: Subspace, max_iter: int,
     exact orbit or else from a fresh one under the default budget, so
     the exponent budget limits only them: ExponentBudgetExceeded means
     that an iterate past the budget could not be certified off L.
+    When the run's exact orbit is preperiodic (ExactOrbit.period), only
+    its distinct iterates 0..M' are tested, each weighed by the number of
+    indices up to M that it stands for; a fresh orbit is not looked at
+    for a period, and every index is tested.
     Raises ValueError when orbit or exact is not the orbit of P under d.
     """
     check_orbits(P, d, orbit, exact)
+    classes = _index_classes(exact.period() if exact is not None else None, max_iter)
     if exact is None:
         exact = ExactOrbit(P, d)
     reduced = {}  # usable prime -> echelon basis of L mod p
@@ -110,14 +123,39 @@ def intersection_count(P: ProjPoint, d: int, L: Subspace, max_iter: int,
             reduced[p] = echelon_mod_p([[orbit.image(p, v) for v in row] for row in L.basis], p)
         except BadPrime:
             pass
-    count = 0
-    for m in range(max_iter + 1):
-        if any(any(residual_mod_p(basis, orbit.row(p, m), p))
-               for p, basis in reduced.items()):
-            continue
-        if exact.member(m, L):
-            count += 1
-    return count
+    return sum(len(indices) for i, indices in enumerate(classes)
+               if not any(any(residual_mod_p(basis, orbit.row(p, i), p))
+                          for p, basis in reduced.items())
+               and exact.member(i, L))
+
+
+def _index_classes(period: Optional[tuple], max_iter: int) -> list:
+    """Entry i holds the indices 0..max_iter of the iterates equal to
+    iterate i, for the distinct iterates i: each index alone without a
+    period, and i, i + t, i + 2t, ... for s <= i < s + t with period (s, t)."""
+    if period is None:
+        return [range(i, i + 1) for i in range(max_iter + 1)]
+    s, t = period
+    return [range(i, max_iter + 1, t) if i >= s else range(i, i + 1)
+            for i in range(min(max_iter, s + t - 1) + 1)]
+
+
+def _expand(classes: list, tuples) -> list:
+    """The index tuples whose iterates are those of the tuples, which
+    index distinct iterates: the sorted products of their classes, in
+    lexicographic order."""
+    return sorted(tuple(sorted(m)) for reps in tuples
+                  for m in product(*(classes[i] for i in reps)))
+
+
+def _distinct_tuple_count(classes: list, k: int) -> int:
+    """The number of k-tuples of indices in k distinct classes: the
+    elementary symmetric polynomial of degree k in the class sizes."""
+    e = [1] + [0] * k
+    for indices in classes:
+        for j in range(k, 0, -1):
+            e[j] += e[j - 1] * len(indices)
+    return e[k]
 
 
 def enumerate_exceptional(P: ProjPoint, d: int, r: int, max_iter: int,
@@ -131,6 +169,15 @@ def enumerate_exceptional(P: ProjPoint, d: int, r: int, max_iter: int,
     filter off: every tuple is checked exactly, the reference run the
     filtered runs must agree with.  Raises ValueError for a prime_count
     outside 0..MAX_FILTER_PRIME_COUNT, before any prime is drawn.
+
+    A filtered run at r >= 2 on a preperiodic orbit (ExactOrbit.period)
+    filters, confirms and groups only the tuples of distinct iterates,
+    indices 0..M' with M' = min(M, s + t - 1), and expands the results
+    back to index tuples; the counts weigh each iterate by its class.
+    A tuple repeating a point has rank at most r, so it is never
+    certified and never super-spans; a tuple of distinct points shares
+    its verdicts with its set of rows.  So the report is the one the
+    whole run gives, and its cost depends on the period, not on M.
     """
     n = P.dim
     if r == 0:
@@ -148,30 +195,37 @@ def enumerate_exceptional(P: ProjPoint, d: int, r: int, max_iter: int,
                          f"{MAX_FILTER_PRIME_COUNT}")
     exact = ExactOrbit(P, d, budget)
     orbit = ModularOrbit(P, d, _prime_stream(seed), prime_count) if prime_count else None
+    # entry i: the indices whose iterate is iterate i, for i <= top
+    classes = _index_classes(exact.period() if orbit is not None and r >= 2 else None,
+                             max_iter)
+    top = len(classes) - 1
 
     if orbit is None:
-        survivors = combinations(range(max_iter + 1), r + 1)
+        survivors = combinations(range(top + 1), r + 1)
     else:
         # one call returns one prefix's survivors in lexicographic order,
         # so prefixes in lexicographic order keep the whole run in it
         survivors = chain.from_iterable(
-            modular_rank_filter(orbit, prefix, max_iter)
-            for prefix in combinations(range(max_iter - 1), r - 1))
-    confirmed: List[tuple] = []
+            modular_rank_filter(orbit, prefix, top)
+            for prefix in combinations(range(top - 1), r - 1))
+    found: List[tuple] = []
     skipped = []
-    exact_checked = 0
+    # the filter leaves uncertified every tuple that repeats a point, and
+    # each tuple of distinct points whose set of points is a survivor's
+    exact_checked = comb(max_iter + 1, r + 1) - _distinct_tuple_count(classes, r + 1)
     for m in survivors:
-        exact_checked += 1
+        exact_checked += prod(len(classes[i]) for i in m)
         try:
             if super_rank(exact.rows(m)):
-                confirmed.append(m)
+                found.append(m)
         except ExponentBudgetExceeded as exc:
             skipped.append({"tuple": list(m), "reason": str(exc)})
 
-    # confirmed tuples arrive in lexicographic order, so the groups'
-    # insertion order is the order of their least preimage tuples
+    # tuples are found in lexicographic order, and each is the least of
+    # its expansion, so the groups' insertion order is the order of their
+    # least preimage tuples
     groups = {}
-    for m in confirmed:
+    for m in found:
         groups.setdefault(span_canonical(exact.rows(m)), []).append(m)
 
     records = []
@@ -184,8 +238,9 @@ def enumerate_exceptional(P: ProjPoint, d: int, r: int, max_iter: int,
             skipped.append({"subspace": [[list(map(str, v.coeffs)) for v in row]
                                          for row in L.basis],
                             "reason": str(exc)})
-        records.append(SubspaceRecord(L, tuple(preimage), hits))
+        records.append(SubspaceRecord(L, tuple(_expand(classes, preimage)), hits))
 
+    confirmed = _expand(classes, found)
     tuples_total = comb(max_iter + 1, r + 1)
     diagnostics = {
         "tuples_total": tuples_total,

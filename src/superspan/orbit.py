@@ -5,7 +5,10 @@ canonically scaled so its first nonzero coordinate is 1.  Iterating the
 degree-d power map raises every coordinate to the d^m-th power; when the
 field has roots of unity the cost is tiny, but over the rationals the
 bit size of entries doubles with every iterate, so exact materialization
-is guarded by a configurable budget on the exponent d^m.  A run holds
+is guarded by a configurable budget on the exponent d^m.  When every
+coordinate is a root of unity the orbit is preperiodic: it has finitely
+many distinct points, ExactOrbit.period finds them, and no exponent past
+the period is ever formed, so the budget never binds.  A run holds
 two caches of its orbit: ModularOrbit keeps it modulo the filter primes,
 as rows of ints, and ExactOrbit keeps exact coordinate powers, each
 computed at most once; an IterMatrix is a view of a few iterates of an
@@ -16,8 +19,9 @@ basis needs.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from typing import Iterable, Optional, Sequence
 
 from . import linalg
@@ -29,7 +33,7 @@ from .errors import (
     TupleTooLong,
     ZeroCoordinate,
 )
-from .field import FieldDesc, FieldValue, rational_field, reduce_mod_prime
+from .field import FieldDesc, FieldValue, is_prime, rational_field, reduce_mod_prime
 
 DEFAULT_EXPONENT_BUDGET = 2 ** 40
 
@@ -123,25 +127,61 @@ def check_orbits(P: ProjPoint, d: int, *orbits) -> None:
 class ExactOrbit:
     """The exact orbit as a cache of coordinate powers: power(j, m) is
     alpha_j ** (d^m), computed once, as the largest cached alpha_j ** (d^k)
-    with k < m raised to d^(m-k).  An index past the exponent budget
-    raises ExponentBudgetExceeded and stays out of the cache.  The degree
-    must be at least 2."""
+    with k < m raised to d^(m-k).  The degree must be at least 2.
+
+    An index past the exponent budget raises ExponentBudgetExceeded and
+    stays out of the cache, unless the orbit is preperiodic (see period):
+    then iterate m is iterate rep(m) < s + t, and its powers are read as
+    alpha_j ** (d^rep(m) mod W) without forming d^m, so the budget never
+    binds.  The period is looked for only there and when a caller asks."""
 
     def __init__(self, point: ProjPoint, d: int, budget: Optional[int] = None):
         if d < 2:
             raise ValueError("power map degree must be >= 2")
         self.point, self.degree, self.budget = point, d, budget
         self.powers = [{} for _ in point.coords]  # per coordinate: m -> its power
+        self._cycle = _UNKNOWN  # (s, t, W) once looked for, None when not preperiodic
 
     def power(self, j: int, m: int) -> FieldValue:
         """Coordinate j of the point raised to d^m."""
         cache = self.powers[j]
         if m not in cache:
-            e = checked_power(self.degree, m, self.budget)
+            try:
+                e = checked_power(self.degree, m, self.budget)
+            except ExponentBudgetExceeded:
+                if self.period() is None:
+                    raise
+                m = self.rep(m)
+                if m not in cache:
+                    cache[m] = self.point.coords[j] ** pow(self.degree, m, self._cycle[2])
+                return cache[m]
             k = max((k for k in cache if k < m), default=None)
             cache[m] = (self.point.coords[j] ** e if k is None
                         else cache[k] ** (self.degree ** (m - k)))
         return cache[m]
+
+    def period(self) -> Optional[tuple]:
+        """(s, t) when the orbit is preperiodic, else None: iterates m < m'
+        coincide iff s <= m and t divides m' - m.  Computed once.
+
+        The point is preperiodic iff every coordinate is a root of unity
+        (the leading one is 1), which is tested exactly as alpha ** W0 == 1
+        for a multiple W0 of every root-of-unity order in the field,
+        stopping at the first coordinate that is not; a large W0 is first
+        tried on the images at two primes.  Each coordinate's
+        order is then read off the primes of W0, W is their lcm, and
+        iterate m is determined by d^m mod W, whose first repeat gives
+        (s, t).  In a Q[x]/(f) that is not a field some torsion may go
+        unseen; that costs speed, never correctness."""
+        if self._cycle is _UNKNOWN:
+            self._cycle = _find_cycle(self.point, self.degree)
+        return self._cycle and self._cycle[:2]
+
+    def rep(self, m: int) -> int:
+        """The least index of the iterate equal to iterate m, for an orbit
+        with a period."""
+        s, t = self.period()
+        return m if m < s + t else s + (m - s) % t
 
     def member(self, m: int, L: linalg.Subspace) -> bool:
         """True iff iterate m lies on L (see subspace_membership)."""
@@ -153,6 +193,68 @@ class ExactOrbit:
         its iterate's canonical coordinates."""
         columns = range(len(self.point.coords))
         return [tuple(self.power(j, mi) for j in columns) for mi in m]
+
+
+_UNKNOWN = object()
+# W0 above which the torsion test screens coordinates at primes from
+# SCREEN_PRIMES_FROM up: degree 6 fields have W0 = 252, degree 12 ones 32760
+SCREEN_TORSION_ABOVE = 2 ** 10
+SCREEN_PRIMES_FROM = 2 ** 30 + 1
+
+
+def _torsion_exponent(ambient: FieldDesc) -> tuple:
+    """(W0, the primes of W0), with W0 a multiple of the order of every
+    root of unity in the field.  Q(zeta_ell) holds those of order
+    dividing 2 ell.  Otherwise a root of unity of order w in a field of
+    degree n has phi(w) | n, and the lcm of those w is the product of
+    q^(1 + v_q(n)) over the primes q with q - 1 | n: 2 for Q, 252 for
+    degree 6."""
+    ell = ambient.cyclotomic_order
+    if ell is not None:
+        return 2 * ell, (2, ell)
+    n = ambient.degree
+    primes = tuple(k + 1 for k in range(1, n + 1) if n % k == 0 and is_prime(k + 1))
+    w0 = 1
+    for q in primes:
+        k = n * q
+        while k % q == 0:
+            k //= q
+            w0 *= q
+    return w0, primes
+
+
+def _find_cycle(point: ProjPoint, d: int) -> Optional[tuple]:
+    """(s, t, W) for a point whose coordinates are all roots of unity, W
+    the lcm of their orders and (s, t) the preperiod and period of
+    d^m mod W; None as soon as one coordinate is not a root of unity.
+
+    alpha ** W0 of an alpha that is no root of unity is W0 times its
+    size, so past SCREEN_TORSION_ABOVE the coordinates' images at two
+    primes are tested first: a root of unity maps to a W0-th root of 1."""
+    w0, factors = _torsion_exponent(point.ambient)
+    one = point.ambient.one()
+    if w0 > SCREEN_TORSION_ABOVE:
+        try:
+            screen = ModularOrbit(point, d, filter(is_prime, count(SCREEN_PRIMES_FROM, 2)), 2)
+        except AllPrimesBad:
+            return None  # a torsion point taken for none costs speed only
+        if any(pow(v, w0, p) != 1 for p in screen.primes for v in screen.row(p, 0)):
+            return None
+    if any(c ** w0 != one for c in point.coords):
+        return None
+    w = 1
+    for c in point.coords:
+        order = w0
+        for q in factors:
+            while order % q == 0 and c ** (order // q) == one:
+                order //= q
+        w = math.lcm(w, order)
+    first = {}  # d^m mod W -> m
+    x, m = 1 % w, 0
+    while x not in first:
+        first[x] = m
+        x, m = x * d % w, m + 1
+    return first[x], m - first[x], w
 
 
 class IterMatrix:

@@ -151,13 +151,18 @@ def _cyclotomic_parts(P: ProjPoint) -> Tuple[List[Fraction], List[int], int]:
     """Split coordinates q * zeta^a into (rationals q, torsion exponents a).
 
     Requires every coordinate to be a monomial in zeta; raises
-    Unsupported otherwise.
+    Unsupported otherwise.  In the basis 1, zeta, ..., zeta^(ell-2) a
+    monomial has one nonzero coefficient q at a, except q * zeta^(ell-1)
+    = -q (1 + zeta + ... + zeta^(ell-2)), whose ell - 1 coefficients all
+    equal -q.
     """
     ell = P.ambient.cyclotomic_order
     rationals = []
     torsion = []
     for c in P.coords:
         nonzero = [(i, coeff) for i, coeff in enumerate(c.coeffs) if coeff]
+        if len(nonzero) == ell - 1 and len(set(c.coeffs)) == 1:
+            nonzero = [(ell - 1, -c.coeffs[0])]
         if len(nonzero) != 1:
             raise Unsupported(
                 "relation lattice supports cyclotomic coordinates of the form "

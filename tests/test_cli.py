@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import re
 import resource
 import shlex
@@ -357,7 +358,7 @@ def test_readme_commands_run(capsys):
     block = readme_block("## Command line", "sh")
     lines = block.replace("\\\n", " ").splitlines()
     commands = [shlex.split(line)[1:] for line in lines if line.startswith("superspan ")]
-    assert len(commands) == 10
+    assert len(commands) == 11
     for argv in commands:
         code, _, err = run_cli(capsys, *argv)
         assert code == 0, (argv, err)
@@ -655,6 +656,58 @@ def test_detect_golden_budget_limits_only_exact_work(capsys):
     doc = json.loads(out)
     assert doc["diagnostics"]["skipped"] == []
     assert [rec["intersection_count"] for rec in doc["subspaces"]] == [3]
+
+
+# roots of unity: every orbit below is preperiodic, and a run works over
+# its distinct points, indices below s + t, then expands back to M
+Z5_Z5SQ = ["--field", "cyclotomic:5", "--point", '[["1"],["0","1"],["0","0","1"]]', "--d", "2"]
+Z5_Z5_Z5SQ = ["--field", "cyclotomic:5", "--point", '[["1"],["0","1"],["0","1"],["0","0","1"]]',
+              "--d", "2"]
+
+
+@pytest.mark.parametrize("golden, argv", [
+    # (s, t) = (0, 4): nothing confirmed, so the filter counts are pinned
+    ("detect_1_z5_z5sq_r2_M12.json", Z5_Z5SQ + ["--r", "2", "--max-iter", "12"]),
+    # a repeated coordinate: 8 tuples expanded from (0, 1, 2, 3), count 7
+    ("detect_1_z5_z5_z5sq_r3_M6.json", Z5_Z5_Z5SQ + ["--r", "3", "--max-iter", "6"]),
+    # (s, t) = (1, 4): iterate 0 is never met again; finest partitions
+    ("detect_1_-1_z5_r2_M7.json",
+     ["--field", "cyclotomic:5", "--point", '[["1"],["-1"],["0","1"]]', "--d", "2",
+      "--r", "2", "--max-iter", "7"]),
+])
+def test_detect_golden_preperiodic_report(capsys, golden, argv):
+    """Preperiodic reports, written by a run that checked every tuple up
+    to M, are pinned byte for byte: diagnostics, expanded preimages,
+    weighted counts and the partition analyses of every expanded tuple."""
+    code, out, _ = run_cli(capsys, "detect", *argv)
+    assert code == 0
+    assert out == (Path(__file__).with_name("golden") / golden).read_text()
+
+
+def test_detect_preperiodic_cost_does_not_grow_with_the_bound(capsys):
+    # classes of iterates 0, 1, 2, 3 modulo 4 hold 250001, 250000, 250000
+    # and 250000 indices, and the filter certifies every set of three
+    M = 10 ** 6
+    start = time.monotonic()
+    code, out, _ = run_cli(capsys, "detect", *Z5_Z5SQ, "--r", "2", "--max-iter", str(M))
+    assert time.monotonic() - start < 1
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["tuples"] == [] and doc["diagnostics"]["skipped"] == []
+    filtered = 3 * 250001 * 250000 ** 2 + 250000 ** 3
+    assert doc["diagnostics"]["filtered"] == filtered
+    assert doc["diagnostics"]["exact_checked"] == math.comb(M + 1, 3) - filtered
+
+
+@pytest.mark.parametrize("argv", [Z5_Z5SQ + ["--r", "2"], Z5_Z5_Z5SQ + ["--r", "3"]],
+                         ids=["1,z5,z5^2", "1,z5,z5,z5^2"])
+def test_detect_budget_never_binds_on_a_preperiodic_orbit(capsys, argv):
+    # 2^11 and 2^12 exceed the budget 1024, yet iterates 11 and 12 are
+    # iterates 3 and 0: the report is the default budget's, with no skip
+    code, out, _ = run_cli(capsys, "detect", *argv, "--max-iter", "12", "--budget", "1024")
+    assert code == 0
+    assert json.loads(out)["diagnostics"]["skipped"] == []
+    assert run_cli(capsys, "detect", *argv, "--max-iter", "12") == (0, out, "")
 
 
 @pytest.mark.parametrize("golden, argv", [

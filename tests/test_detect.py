@@ -21,7 +21,14 @@ from superspan.errors import (
     ZeroCoordinate,
 )
 from superspan.linalg import span_canonical
-from superspan.orbit import ExactOrbit, ModularOrbit, ProjPoint, iterate, iterate_matrix
+from superspan.orbit import (
+    ExactOrbit,
+    ModularOrbit,
+    ProjPoint,
+    iterate,
+    iterate_matrix,
+    subspace_membership,
+)
 
 
 def stream_primes(k, seed=0):
@@ -422,7 +429,9 @@ def run_cases(draw):
 def test_run_checks_the_uncertified_tuples_in_order(case):
     """With the filter on, exactly the tuples no filter prime certifies,
     by a per-tuple elimination, reach super_rank, in lexicographic
-    order; with it off, every tuple does."""
+    order, and exact_checked counts them; with it off, every tuple does.
+    On a preperiodic orbit at r >= 2 a filtered run checks only those of
+    distinct iterates, indices up to s + t - 1, yet counts them all."""
     P, d, r, M, primes = case
     try:
         orbit = ModularOrbit(P, d, primes, len(primes))
@@ -433,7 +442,11 @@ def test_run_checks_the_uncertified_tuples_in_order(case):
                    if not any(len(linalg.echelon_mod_p([orbit.row(p, i) for i in m], p)) == r + 1
                               for p in orbit.primes)]
     exact = ExactOrbit(P, d)
-    for prime_count, expected in ((len(primes), uncertified), (0, tuples)):
+    period = exact.period() if r >= 2 else None
+    top = M if period is None else sum(period) - 1
+    reached = [m for m in uncertified if m[-1] <= top]
+    for prime_count, checked, expected in ((len(primes), uncertified, reached),
+                                           (0, tuples, tuples)):
         received = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(detect, "_prime_stream", lambda seed: iter(primes))
@@ -442,9 +455,10 @@ def test_run_checks_the_uncertified_tuples_in_order(case):
             report = enumerate_exceptional(P, d, r, M, prime_count=prime_count)
         assert report.diagnostics["primes"] == (orbit.primes if prime_count else [])
         assert received == [exact.rows(m) for m in expected]
-        assert report.diagnostics["exact_checked"] == len(expected)
-        assert report.diagnostics["filtered"] == comb(M + 1, r + 1) - len(expected)
+        assert report.diagnostics["exact_checked"] == len(checked)
+        assert report.diagnostics["filtered"] == comb(M + 1, r + 1) - len(checked)
     event(f"r = {r}")
+    event("preperiodic" if period else "every index read")
     event("every tuple certified" if not uncertified else
           "no tuple certified" if uncertified == tuples else "some tuple certified")
 
@@ -486,3 +500,90 @@ def test_periodic_orbit_matches_definition(exponents, r, M):
     assert fast.semantic_content() == slow.semantic_content()
     assert fast.tuples == tuple(m for m in combinations(range(M + 1), r + 1)
                                 if super_rank_by_definition(iterate_matrix(P, 2, m).rows()))
+
+
+# ----------------------------------------------------------------------
+# preperiodic orbits against a materializing oracle
+# ----------------------------------------------------------------------
+
+C7 = field.cyclotomic_field(7)
+# field -> the roots of unity +-zeta^a a coordinate is drawn from
+ROOTS_OF_UNITY = {
+    "Q": [Q.one(), -Q.one()],
+    "C5": [s * ZETA ** a for a in range(5) for s in (C5.one(), -C5.one())],
+    "C7": [s * C7.gen() ** a for a in range(7) for s in (C7.one(), -C7.one())],
+}
+
+
+@st.composite
+def preperiodic_cases(draw):
+    """(point, d, r, M, seed) for points whose coordinates are all roots
+    of unity, repeated coordinates included."""
+    entries = ROOTS_OF_UNITY[draw(st.sampled_from(sorted(ROOTS_OF_UNITY)))]
+    K = entries[0].ambient
+    n = draw(st.integers(2, 3))
+    P = ProjPoint(K, [K.one()] + [draw(st.sampled_from(entries)) for _ in range(n)])
+    r = draw(st.sampled_from(sorted({2, n})))
+    return P, draw(st.sampled_from((2, 3, 4))), r, draw(st.integers(r, 10)), draw(st.integers(0, 2))
+
+
+def materialized_run(P, d, r, M):
+    """The confirmed tuples and (subspace, preimage, count) records of a
+    run, by brute force over every index tuple on the rows of
+    orbit.iterate, which knows no period."""
+    points = [iterate(P, d, m) for m in range(M + 1)]
+    confirmed = tuple(m for m in combinations(range(M + 1), r + 1)
+                      if linalg.super_rank([points[i].coords for i in m]))
+    groups = {}
+    for m in confirmed:
+        groups.setdefault(span_canonical([points[i] for i in m]), []).append(m)
+    return confirmed, tuple((L, tuple(preimage), sum(subspace_membership(Q, L) for Q in points))
+                            for L, preimage in groups.items())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(preperiodic_cases())
+@example((ProjPoint(C5, [C5.one(), ZETA, ZETA]), 2, 2, 10, 0))
+@example((ProjPoint(C5, [C5.one(), ZETA, ZETA, ZETA ** 2]), 2, 3, 9, 0))
+@example((ProjPoint(C7, [C7.one(), C7.gen(), C7.gen(), -C7.one()]), 2, 3, 8, 1))
+def test_preperiodic_run_matches_materializing_oracle(case):
+    """Tuples, subspaces, preimages and counts equal a brute force over
+    every index tuple; exact_checked counts the tuples no filter prime
+    certifies at full rank; the unfiltered run agrees (criterion 8)."""
+    P, d, r, M, seed = case
+    period = ExactOrbit(P, d).period()
+    assert period is not None
+    report = enumerate_exceptional(P, d, r, M, seed=seed)
+    assert report.semantic_content() == materialized_run(P, d, r, M)
+    assert report.semantic_content() == \
+        enumerate_exceptional(P, d, r, M, prime_count=0).semantic_content()
+    orbit = ModularOrbit(P, d, detect._prime_stream(seed), DEFAULT_FILTER_PRIME_COUNT)
+    assert report.diagnostics["primes"] == orbit.primes
+    uncertified = sum(
+        not any(len(linalg.echelon_mod_p([orbit.row(p, i) for i in m], p)) == r + 1
+                for p in orbit.primes)
+        for m in combinations(range(M + 1), r + 1))
+    assert report.diagnostics["exact_checked"] == uncertified
+    assert report.diagnostics["skipped"] == []
+    event(f"{P.ambient.kind}, r = {r}, {len(report.tuples)} tuples")
+    event("M past the period" if M >= sum(period) else "M within the period")
+
+
+NOT_PREPERIODIC = {
+    "2,3,5,7": ProjPoint.rational([2, 3, 5, 7]),
+    "1,2,3,6": ProjPoint.rational([1, 2, 3, 6]),
+    "1,2,-3": ProjPoint.rational([1, 2, -3]),
+    "sextic": sextic_point(),
+    "1,z5,2,3": ProjPoint(C5, [C5.one(), ZETA, C5.from_rational(2), C5.from_rational(3)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_PREPERIODIC))
+def test_benchmark_points_without_roots_of_unity_get_no_period(name):
+    assert ExactOrbit(NOT_PREPERIODIC[name], 2).period() is None
+
+
+@pytest.mark.parametrize("exponents", [(0, 1, 2), (0, 1, 2, 3)])
+def test_roots_of_unity_get_their_period(exponents):
+    # 2^m mod 5 runs 1, 2, 4, 3, 1, ...
+    assert ExactOrbit(ProjPoint(C5, [ZETA ** k for k in exponents]), 2).period() == (0, 4)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -261,3 +262,60 @@ def test_exact_orbit_matches_iterate(case):
     for j, powers in enumerate(exact.powers):
         for m, value in powers.items():
             assert value == P.coords[j] ** d ** m
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([5, 7]), st.sampled_from([2, 3, 4]),
+       st.lists(st.tuples(st.sampled_from([1, -1]), st.integers(0, 6)), min_size=1, max_size=3))
+def test_period_is_the_first_repeat_of_the_orbit(ell, d, entries):
+    """Iterates 0..s+t-1 are distinct and iterate s+t is iterate s; past
+    a budget of 4 every power is read through the period, and equals the
+    power of iterate."""
+    C = field.cyclotomic_field(ell)
+    P = ProjPoint(C, [C.one()] + [sign * C.gen() ** a for sign, a in entries])
+    s, t = ExactOrbit(P, d).period()
+    points = [iterate(P, d, m) for m in range(s + t + 1)]
+    assert len(set(points[:-1])) == s + t and points[-1] == points[s]
+    exact = ExactOrbit(P, d, budget=4)
+    for m in range(16):
+        Q = iterate(P, d, m)
+        assert exact.rows([m]) == [Q.coords]
+        assert exact.rep(m) < s + t and points[exact.rep(m)] == Q
+    # past the budget only the distinct iterates are cached
+    assert all(k < s + t or d ** k <= 4 for powers in exact.powers for k in powers)
+    event(f"(s, t) = {(s, t)}")
+
+
+@pytest.mark.parametrize("min_poly, root, period", [
+    ([1, 0, 0, 1, 0, 0, 1], 1, (0, 6)),     # zeta_9: 2^m mod 9
+    ([1, 1, 1, 1, 1, 1, 1], 1, (0, 3)),     # zeta_7 in a degree-6 field: 2^m mod 7
+    ([1, 0, 0, 1, 0, 0, 1], -1, (1, 6)),    # -zeta_9, of order 18: 2^m mod 18
+    ([1, 0, 1], 1, (2, 1)),                 # i, of order 4: 2^m mod 4 is 0 from m = 2
+    ([1] * 13, 1, (0, 12)),                 # zeta_13, W0 = 32760: screened mod p first
+])
+def test_number_field_roots_of_unity_get_their_period(min_poly, root, period):
+    # a root of unity in a field of degree n has an order w with phi(w) | n,
+    # and every such w divides 252 for n = 6 and 12 for n = 2
+    K = field.number_field(min_poly)
+    assert ExactOrbit(ProjPoint(K, [K.one(), root * K.gen()]), 2).period() == period
+
+
+def test_non_torsion_orbit_past_the_budget_still_raises():
+    # 2 is no root of unity, so [1, zeta_5, 2] has no period to read through
+    C5 = field.cyclotomic_field(5)
+    exact = ExactOrbit(ProjPoint(C5, [C5.one(), C5.gen(), C5.from_rational(2)]), 2, budget=4)
+    with pytest.raises(ExponentBudgetExceeded):
+        exact.power(1, 3)
+    assert exact.period() is None
+
+
+@pytest.mark.parametrize("min_poly", [[1] * 13, [-2] + [0] * 59 + [1]], ids=["Phi_13", "x^60-2"])
+def test_torsion_test_of_a_large_field_is_cheap(min_poly):
+    # W0 is 32760 for degree 12 and about 1.1e9 for degree 60: the exact
+    # power alpha ** W0 of a coordinate that is no root of unity would
+    # take 0.16 s and forever; its image at a prime rules it out at once
+    K = field.number_field(min_poly)
+    start = time.monotonic()
+    for alpha in (K.gen() + K.from_rational(2), K.gen() * K.from_rational(3)):
+        assert ExactOrbit(ProjPoint(K, [K.one(), alpha]), 2).period() is None
+    assert time.monotonic() - start < 1

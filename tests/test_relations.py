@@ -176,6 +176,33 @@ def test_cyclotomic_general_element_rejected():
         relation_lattice(P)
 
 
+def test_cyclotomic_last_power_is_a_monomial(capsys):
+    # zeta^4 reduces to -(1 + zeta + zeta^2 + zeta^3) in Q(zeta_5), and its
+    # relations are those of zeta^3
+    argv = ["relations", "--field", "cyclotomic:5", "--point"]
+    for point in ('[["1"],["0","0","0","0","1"],["2"]]', '[["1"],["0","0","0","1"],["2"]]'):
+        assert cli_main(argv + [point]) == 0
+        assert json.loads(capsys.readouterr().out)["basis"] == [[5, -5, 0]]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([5, 7]), st.data(),
+       st.one_of(st.sampled_from([1, -1]),
+                 st.fractions(-5, 5, max_denominator=5).filter(bool)))
+def test_cyclotomic_monomials_are_accepted(ell, data, q):
+    # q * zeta^a is a root of unity iff q = +-1, of order w = ell / gcd(a, ell),
+    # doubled for q = -1; [1, q zeta^a] then has the relations k (w, -w)
+    a = data.draw(st.integers(0, ell - 1))
+    C = field.cyclotomic_field(ell)
+    L = relation_lattice(ProjPoint(C, [C.one(), C.from_rational(q) * C.gen() ** a]))
+    if abs(q) != 1:
+        assert L.basis == ()
+    else:
+        w = (ell // gcd(a, ell)) * (2 if q == -1 else 1)
+        assert L.basis == ((w, -w),)
+    event(f"a = ell - 1: {a == ell - 1}")
+
+
 def test_number_field_rejected():
     K = field.number_field([1, 3, Fraction(5, 2), 0, Fraction(5, 2), 3, 1])
     P = ProjPoint(K, [K.one(), K.gen(), K.one()])
