@@ -176,6 +176,134 @@ def test_poly_gcd_is_monic_common_divisor(case):
     assert modp.poly_gcd(*cofactors, p) == [1]
 
 
+def remainder(a, f, p):
+    return modp.poly_divmod(a, f, p)[1]
+
+
+def reference_powmod(a, e, f, p):
+    """a^e modulo a monic f, right to left by square-and-multiply with
+    schoolbook products and long division."""
+    result, base = [1], remainder(a, f, p)
+    while e:
+        if e & 1:
+            result = remainder(modp.poly_mul(result, base, p), f, p)
+        e >>= 1
+        if e:
+            base = remainder(modp.poly_mul(base, base, p), f, p)
+    return remainder(result, f, p)
+
+
+def power_by_multiplication(delta, e, f, p):
+    """(x + delta)^e modulo a monic f, one product at a time."""
+    result = remainder([1], f, p)
+    for _ in range(e):
+        result = remainder(modp.poly_mul(result, [delta % p, 1], p), f, p)
+    return result
+
+
+def reference_roots(f, p):
+    """The distinct roots of f in F_p: gcd(x^p - x, f) split by
+    Cantor-Zassenhaus, with reference_powmod for every power."""
+    g = modp.poly_gcd(f, modp.poly_sub(reference_powmod([0, 1], p, f, p), [0, 1], p), p)
+    roots, pending, delta = [], [g], 0
+    while True:
+        roots += [-h[0] % p for h in pending if len(h) == 2]
+        pending = [h for h in pending if len(h) > 2]
+        if not pending:
+            return sorted(roots)
+        if p == 2:
+            return sorted(roots + [0, 1])  # the pending factor is x^2 + x
+        split = []
+        for h in pending:
+            s = reference_powmod([delta, 1], (p - 1) // 2, h, p)
+            k = modp.poly_gcd(h, modp.poly_sub(s, [1], p), p)
+            split += [k, modp.poly_divmod(h, k, p)[0]] if 1 < len(k) < len(h) else [h]
+        pending = split
+        delta += 1
+
+
+P30 = GCD_PRIMES[-1]  # 2^30 - 35, the largest 30-bit prime
+P61 = (1 << 61) - 1   # a Mersenne prime: residues take two 64-bit words per slot
+
+
+@st.composite
+def power_cases(draw):
+    """(f, p, delta, e): a monic f of degree 1 to 8 and delta in [0, 3p),
+    with e either small or 30 bits long."""
+    p = draw(st.sampled_from(GCD_PRIMES + [P61]))
+    f = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=8)) + [1]
+    delta = draw(st.integers(0, 3 * p - 1))
+    e = draw(st.one_of(st.integers(0, 199), st.integers(1 << 29, 1 << 30)))
+    return f, p, delta, e
+
+
+@PROPERTY
+@given(power_cases())
+@example(([3, 1], 7, 2, 0))              # e = 0
+@example(([3, 1], 7, 2, 1))              # e = 1: x + 2 = -1 mod x + 3
+@example(([5, 1], 7, 5, 150))            # a zero base: x + 5 = 0 mod x + 5
+@example(([5, 1], 7, 5, 0))              # 0^0 = 1
+@example(([1, 2, 3, 1], 13, 13 + 4, 100))  # delta >= p
+@example(([1, 0, 1], 2, 1, 1 << 29))
+@example(([P61 - 1] * 8 + [1], P61, P61 - 1, (P61 - 1) // 2))
+def test_linear_power_matches_reference(case):
+    f, p, delta, e = case
+    expected = power_by_multiplication(delta, e, f, p) if e < 200 else \
+        reference_powmod([delta, 1], e, f, p)
+    assert modp._linear_power(delta, e, f, p) == expected
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (5, 4), (P30, 7), (P30, 8), (P61, 6)])
+@pytest.mark.parametrize("times_x", [False, True])
+def test_square_of_the_largest_residue_does_not_carry(p, n, times_x):
+    """Every coefficient p - 1, in f and in the residue, puts the most
+    into each slot of the square and of its reduction; n = 7 is the
+    largest degree whose slots at 30-bit primes are one 64-bit word."""
+    f, a = [p - 1] * n + [1], [p - 1] * n
+    expected = modp.poly_mul(a, a, p)
+    if times_x:
+        expected = [0] + expected
+    assert modp.poly_trim(modp._Modulus(f, p).square(a, times_x)) == remainder(expected, f, p)
+
+
+@st.composite
+def split_cases(draw):
+    """(p, q, roots): roots in F_p, some of them repeated, and either no
+    q or a quadratic q with no root mod p, x^2 - n for a non-residue n
+    (x^2 + x + 1 for p = 2).  The product has degree 1 to 8."""
+    p = draw(st.sampled_from([2, 3, 5] + GCD_PRIMES[5:]))
+    q = None
+    if draw(st.booleans()):
+        if p == 2:
+            q = [1, 1, 1]
+        else:
+            n = draw(st.integers(1, p - 1))
+            assume(pow(n, (p - 1) // 2, p) == p - 1)  # Euler's criterion
+            q = [-n % p, 0, 1]
+    distinct = draw(st.lists(st.integers(0, p - 1), min_size=0 if q else 1, max_size=6))
+    repeats = draw(st.lists(st.sampled_from(distinct), max_size=6 - len(distinct))) \
+        if distinct else []
+    return p, q, draw(st.permutations(distinct + repeats))
+
+
+@PROPERTY
+@given(split_cases())
+@example((2, [1, 1, 1], [0, 0]))         # (p - 1)/2 = 0
+@example((2, None, [1, 0, 1]))
+@example((3, [1, 0, 1], [2, 2, 0]))      # (p - 1)/2 = 1; -1 is a non-residue mod 3
+@example((P30, None, [12345]))           # deg f = 1
+@example((P30, None, [1, 2, 3, 4, 5, 6]))  # a sextic that splits completely
+@example((P30, None, [P30 - 1, 7, 1 << 29, 0, 99, 123456789]))
+@example((P61, [1, 0, 1], [5, 5, 1 << 60]))  # -1 is a non-residue mod 2^61 - 1
+def test_roots_of_products_of_linear_factors(case):
+    p, q, roots = case
+    f = q or [1]
+    for r in roots:
+        f = modp.poly_mul(f, [-r % p, 1], p)
+    event(f"p = {p}" if p < 10 else "30-bit p")
+    assert modp.poly_roots(f, p) == sorted(set(roots))
+
+
 def test_root_mod_prime_rejects():
     with pytest.raises(BadPrime):
         field.root_mod_prime(Q, 10001)
@@ -231,6 +359,39 @@ def test_cyclotomic_orbit_draws_as_with_poly_roots(ell, seed):
     orbit = ModularOrbit(P, 2, _prime_stream(seed), 3)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(field, "root_mod_prime", least_root_by_poly_roots)
+        reference = ModularOrbit(P, 2, _prime_stream(seed), 3)
+    assert orbit.primes == reference.primes
+    assert orbit.bad_primes == reference.bad_primes
+    assert [orbit.row(p, 3) for p in orbit.primes] == \
+        [reference.row(p, 3) for p in reference.primes]
+
+
+def least_root_by_reference(ambient, p):
+    """root_mod_prime through reference_roots, for the 30-bit stream
+    primes, at which f's denominators are units."""
+    roots = reference_roots(poly_mod(ambient, p), p)
+    return roots[0] if roots else None
+
+
+NUMBER_FIELD_POINTS = {
+    "sextic": sextic_point(),
+    # 3x^6 + 9x^5 + 23x^4 + 31x^3 + 23x^2 + 9x + 3, made monic
+    "palindromic sextic": ProjPoint(
+        field.number_field([1, 3, Fraction(23, 3), Fraction(31, 3), Fraction(23, 3), 3, 1]),
+        [[0, 1], [-1, -1], 1]),
+    "cube root of 2": ProjPoint(field.number_field([-2, 0, 0, 1]), [[0, 1], [-3, 1], 2, 1]),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(NUMBER_FIELD_POINTS))
+def test_number_field_orbit_draws_as_with_reference_roots(name, seed):
+    """The filter primes, the bad primes with their reasons and the rows
+    of a number-field orbit do not depend on how f mod p is split."""
+    P = NUMBER_FIELD_POINTS[name]
+    orbit = ModularOrbit(P, 2, _prime_stream(seed), 3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "root_mod_prime", least_root_by_reference)
         reference = ModularOrbit(P, 2, _prime_stream(seed), 3)
     assert orbit.primes == reference.primes
     assert orbit.bad_primes == reference.bad_primes
