@@ -5,8 +5,9 @@ relation lattice), verify (the worked-example and lemma checkers), and
 analyze (vanishing-subsum analysis of a single tuple).
 
 Exit codes: 0 success, 1 a verification check failed, 2 invalid input,
-3 budget exhaustion (detect writes its partial results, flagged; analyze
-and verify write no document).  All
+3 budget or memory exhaustion (on budget exhaustion detect writes its
+partial results, flagged; analyze and verify write no document, nor does
+any command that runs out of memory).  All
 randomness (the filter primes) is seeded from the configuration, and
 JSON output uses sorted keys, so identical configurations produce
 byte-identical documents.
@@ -15,6 +16,7 @@ byte-identical documents.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -39,7 +41,10 @@ MIN_BUDGET = 2 ** 10
 MAX_ANALYZE_TERMS = 40320  # 8!: analyze expands tuples of length at most 8
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call and shared by
+    later ones: parse_args leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="superspan",
         description="Detect and analyze linear subspaces super-spanned by "
@@ -261,6 +266,9 @@ def main(argv=None) -> int:
         return _cmd_analyze(args)
     except ExponentBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARTIAL
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_PARTIAL
     except (SuperspanError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -130,20 +130,35 @@ def _pxgcd(a, b):
 # primality (deterministic Miller-Rabin, valid for 64-bit inputs)
 # ----------------------------------------------------------------------
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES_PRODUCT = math.prod(_SMALL_PRIMES)
+_MR_BASES_32 = (2, 7, 61)
+_MR_BOUND_32 = 4_759_123_141   # the least strong pseudoprime to 2, 7 and 61
 
 
 def is_prime(n: int) -> bool:
+    """Whether n is prime, exactly for every n < 2^64.
+
+    One gcd with the product of the primes up to 37 settles every n
+    with such a factor, and every n < 41^2.  The rest take strong
+    probable-prime (Miller-Rabin) tests: to the bases 2, 7 and 61 below
+    4 759 123 141, the least strong pseudoprime to all three (Jaeschke,
+    "On strong pseudoprimes to several bases", Math. Comp. 61, 1993),
+    and to the twelve primes up to 37 from there on, which no composite
+    below 2^64 passes.  Such an n exceeds 61, so no base is a multiple
+    of n.
+    """
     if n < 2:
         return False
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
+    if math.gcd(n, _SMALL_PRIMES_PRODUCT) != 1:
+        return n in _SMALL_PRIMES
+    if n < 41 * 41:
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES_32 if n < _MR_BOUND_32 else _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import math
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 import superspan
-from superspan import detect
+from superspan import cli, detect
 from superspan.cli import main
 from superspan.field import MAX_FIELD_DEGREE
 
@@ -748,3 +749,64 @@ def test_internal_key_error_propagates(capsys, monkeypatch):
     monkeypatch.setattr(detect, "enumerate_exceptional", broken)
     with pytest.raises(KeyError, match="internal"):
         main(["detect", "--point", "[1,2,3]", "--d", "2", "--r", "2", "--max-iter", "3"])
+
+
+def test_out_of_memory_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(detect, "enumerate_exceptional", exhausted)
+    out_path = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "detect", "--point", "[1,2,3]", "--d", "2", "--r", "2",
+                             "--max-iter", "3", "--out", str(out_path))
+    assert (code, out, err) == (3, "", "error: out of memory\n")
+    assert not out_path.exists()
+
+
+# one parser serves every main call of a process: no call may leak into the next
+
+DETECT_M8 = ["detect", "--point", "[1,2,-3]", "--d", "2", "--r", "2", "--max-iter", "8"]
+GOLDEN_M8 = Path(__file__).with_name("golden") / "detect_1_2_-3_r2_M8.json"
+
+
+def test_options_of_one_call_do_not_carry_over(tmp_path, capsys):
+    out_path = tmp_path / "report.csv"
+    code, out, _ = run_cli(capsys, *DETECT_M8, "--format", "csv", "--out", str(out_path))
+    assert code == 0 and out == ""
+    assert out_path.read_text().startswith("subspace,")
+    code, out, _ = run_cli(capsys, *DETECT_M8)
+    assert code == 0
+    assert out == GOLDEN_M8.read_text()
+
+
+def test_a_rejected_call_does_not_affect_the_next(capsys):
+    code, out, err = run_cli(capsys, "detect", "--point", "[1,2,-3]", "--d", "two")
+    assert code == 2 and out == "" and "invalid int value" in err
+    code, out, _ = run_cli(capsys, *DETECT_M8)
+    assert code == 0
+    assert out == GOLDEN_M8.read_text()
+
+
+def test_detect_then_analyze(capsys):
+    assert run_cli(capsys, *DETECT_M8)[0] == 0
+    code, out, _ = run_cli(capsys, "analyze", "--point", "[1,2,-3]", "--d", "2", "--m", "0,1,2")
+    assert code == 0
+    assert out == (Path(__file__).with_name("golden") / "analyze_1_2_-3_m012.json").read_text()
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "superspan":
+            built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    for argv in (DETECT_M8, ["frobnicate"], DETECT_M8,
+                 ["analyze", "--point", "[1,2,-3]", "--d", "2", "--m", "0,1,2"]):
+        main(argv)
+    capsys.readouterr()
+    assert len(built) == 1

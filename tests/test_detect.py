@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations, islice
 from math import comb, log
@@ -42,6 +43,50 @@ def test_filter_primes_deterministic():
     assert len(set(a)) == 3
     assert all(field.is_prime(p) and p.bit_length() == 30 for p in a)
     assert stream_primes(3, seed=1) != a
+
+
+def miller_rabin_12_bases(n):
+    """A plain deterministic Miller-Rabin for odd n > 37, n < 2^64."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 2 ** i, n) != n - 1 for i in range(s)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_prime_stream_is_the_seeded_candidates_that_are_prime(seed):
+    rng = random.Random(seed)
+    expected = []
+    while len(expected) < 40:
+        candidate = rng.randrange(1 << 29, 1 << 30) | 1
+        if miller_rabin_12_bases(candidate) and candidate not in expected:
+            expected.append(candidate)
+    assert stream_primes(40, seed) == expected
+
+
+@pytest.mark.parametrize("point, seed, primes, draws", [
+    ("sextic", 0, [880526921, 773984543, 678974501], 16),
+    ("sextic", 1, [1030366373, 716690791, 545976521], 14),
+    ("sextic", 2, [836554657, 1063482653, 896019497], 18),
+    ("sextic", 3, [913658177, 652963133, 649476067], 15),
+    ("1, z5, z5^2", 0, [880526921, 1065855601, 885112061], 8),
+    ("1, z5, z5^2", 1, [644245391, 716690791, 545976521], 14),
+    ("1, z5, z5^2", 2, [991719721, 973530071, 822315731], 7),
+    ("1, z5, z5^2", 3, [1044481381, 982685621, 942535691], 8),
+])
+def test_filter_primes_and_bad_primes_are_pinned(point, seed, primes, draws):
+    C5 = field.cyclotomic_field(5)
+    zeta = C5.gen()
+    P = sextic_point() if point == "sextic" else ProjPoint(C5, [1, zeta, zeta * zeta])
+    orbit = ModularOrbit(P, 2, detect._prime_stream(seed), 3)
+    assert orbit.primes == primes
+    # every other prime drawn is bad because f has no root there
+    assert orbit.bad_primes == {q: f"minimal polynomial has no root mod {q}"
+                                for q in stream_primes(draws, seed) if q not in primes}
 
 
 def test_one_exceptional_line():

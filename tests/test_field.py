@@ -240,6 +240,33 @@ def test_is_prime():
     assert field.is_prime((1 << 31) - 1)
 
 
+def test_is_prime_agrees_with_a_sieve():
+    n = 2 * 10 ** 5
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for q in range(2, math.isqrt(n) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = bytes(len(range(q * q, n, q)))
+    assert [k for k in range(n) if field.is_prime(k)] == [k for k in range(n) if sieve[k]]
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,           # strong pseudoprime to 2, 3, 5 and 7
+    4759123141,           # the least one to 2, 7 and 61, at the end of their range
+    2152302898747,        # to the primes up to 11
+    3474749660383,        # to the primes up to 13
+    3825123056546413051,  # to the primes up to 23
+])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not field.is_prime(n)
+
+
+@pytest.mark.parametrize("n", [2, 7, 61, (1 << 31) - 1, (1 << 61) - 1])
+def test_is_prime_accepts_bases_and_mersenne_primes(n):
+    # a base that is a multiple of n must not decide the verdict
+    assert field.is_prime(n)
+
+
 # ----------------------------------------------------------------------
 # the integer kernel against the Fraction-polynomial reference
 # ----------------------------------------------------------------------
