@@ -124,14 +124,11 @@ def _resolve_budget(args) -> int:
     return budget
 
 
-def _emit(args, document: dict, csv_rows=None) -> None:
-    if csv_rows is not None and args.format == "csv":
-        header, rows = csv_rows
-        text = ",".join(header) + "\n"
-        for row in rows:
-            text += ",".join(str(x) for x in row) + "\n"
-    else:
-        text = json.dumps(document, sort_keys=True, indent=2) + "\n"
+def _emit(args, document: dict) -> None:
+    _write(args, json.dumps(document, sort_keys=True, indent=2) + "\n")
+
+
+def _write(args, text: str) -> None:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -145,20 +142,25 @@ def _cmd_detect(args) -> int:
     report = detect.enumerate_exceptional(
         P, args.d, args.r, args.max_iter,
         prime_count=args.primes, seed=args.seed, budget=budget)
-    doc = jsonio.encode_report(report)
-    csv_rows = (
-        ["subspace", "dim_projective", "basis", "preimage", "intersection_count"],
-        [[idx,
-          rec.subspace.dim_projective,
-          _csv_basis(rec.subspace),
-          ";".join("-".join(str(x) for x in m) for m in rec.preimage),
-          rec.intersection_count]
-         for idx, rec in enumerate(report.subspaces)],
-    )
-    _emit(args, doc, csv_rows)
+    if args.format == "csv":
+        _write(args, _csv_table(report))
+    else:
+        _emit(args, jsonio.encode_report(report))
     if report.diagnostics.get("skipped"):
         return EXIT_PARTIAL
     return EXIT_OK
+
+
+def _csv_table(report) -> str:
+    """One line per subspace of the report, after a header line."""
+    rows = [["subspace", "dim_projective", "basis", "preimage", "intersection_count"]]
+    rows += [[idx,
+              rec.subspace.dim_projective,
+              _csv_basis(rec.subspace),
+              ";".join("-".join(str(x) for x in m) for m in rec.preimage),
+              rec.intersection_count]
+             for idx, rec in enumerate(report.subspaces)]
+    return "".join(",".join(str(x) for x in row) + "\n" for row in rows)
 
 
 def _csv_basis(subspace) -> str:

@@ -107,16 +107,15 @@ def intersection_count(P: ProjPoint, d: int, L: Subspace, max_iter: int,
     exact orbit or else from a fresh one under the default budget, so
     the exponent budget limits only them: ExponentBudgetExceeded means
     that an iterate past the budget could not be certified off L.
-    When the run's exact orbit is preperiodic (ExactOrbit.period), only
-    its distinct iterates 0..M' are tested, each weighed by the number of
-    indices up to M that it stands for; a fresh orbit is not looked at
-    for a period, and every index is tested.
+    When the orbit is preperiodic (ExactOrbit.period), only its distinct
+    iterates 0..M' are tested, each weighed by the number of indices up
+    to M that it stands for.
     Raises ValueError when orbit or exact is not the orbit of P under d.
     """
     check_orbits(P, d, orbit, exact)
-    classes = _index_classes(exact.period() if exact is not None else None, max_iter)
     if exact is None:
         exact = ExactOrbit(P, d)
+    classes = _index_classes(exact.period(), max_iter)
     reduced = {}  # usable prime -> echelon basis of L mod p
     for p in (orbit.primes if orbit is not None else ()):
         try:

@@ -7,9 +7,14 @@ represented by their unique reduced polynomial of degree < deg(f),
 stored as integer numerators (constant term first) over one common
 denominator (Cohen, A Course in Computational Algebraic Number Theory,
 4.2).  A product is an integer convolution reduced through the rows
-x^k mod f, k >= deg(f), computed once per minimal polynomial.  All
-operations are pure and every value is immutable, so values may be
-shared freely.
+x^k mod f, k >= deg(f), computed once per minimal polynomial.  The
+inverse of a = (g / den) * b, g the content of a's numerators, solves
+b * y = 1 in the integer matrix of the columns b * x^k by fraction-free
+Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968); g goes first,
+as the minors of c * b carry c^deg(f).  A singular matrix means that a
+is a zero divisor of a reducible f.  Only _pmod, which reduces overlong
+coefficient lists, still works on Fraction polynomials.  All operations
+are pure and every value is immutable, so values may be shared freely.
 
 Reduction modulo a machine-word prime feeds the fast rank filter.
 root_mod_prime finds the least root a of f mod p, once per (field,
@@ -67,24 +72,6 @@ def _ptrim(a: list) -> list:
     return a
 
 
-def _psub(a, b):
-    out = list(a) + [Fraction(0)] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _ptrim(out)
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            for j, d in enumerate(b):
-                out[i + j] += c * d
-    return _ptrim(out)
-
-
 def _pmod(a, f):
     # f monic; remainder of a modulo f
     a = list(a)
@@ -96,34 +83,6 @@ def _pmod(a, f):
                 a[shift + i] -= c * f[i]
         a.pop()
     return _ptrim(a)
-
-
-def _pdivmod(a, b):
-    # b nonzero, arbitrary leading coefficient
-    q: list = []
-    r = list(a)
-    lead = b[-1]
-    while len(r) >= len(b) and r:
-        c = r[-1] / lead
-        shift = len(r) - len(b)
-        while len(q) <= shift:
-            q.append(Fraction(0))
-        q[shift] += c
-        for i in range(len(b)):
-            r[shift + i] -= c * b[i]
-        _ptrim(r)
-    return _ptrim(q), r
-
-
-def _pxgcd(a, b):
-    # returns (g, s) with s*a = g (mod b) over Q[x]
-    r0, r1 = list(a), list(b)
-    s0, s1 = [Fraction(1)], []
-    while r1:
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _psub(s0, _pmul(q, s1))
-    return r0, s0
 
 
 # ----------------------------------------------------------------------
@@ -419,15 +378,38 @@ class FieldValue:
     def inverse(self) -> "FieldValue":
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        if self.ambient.degree == 1:
+        K, n = self.ambient, self.ambient.degree
+        if n == 1:
             a, b = self.den, self.num[0]
-            return _value(self.ambient, (-a,) if b < 0 else (a,), abs(b))
-        g, s = _pxgcd(_ptrim(list(self.coeffs)), list(self.ambient.min_poly))
-        if len(g) != 1:
-            # gcd has positive degree: min_poly is reducible and self is a
-            # zero divisor; report rather than return a wrong value
-            raise NonInvertible("element is a zero divisor (reducible minimal polynomial)")
-        return FieldValue(self.ambient, [c / g[0] for c in s])
+            return _value(K, (-a,) if b < 0 else (a,), abs(b))
+        # self^-1 = (den / g) * y with b * y = 1: the columns b * x^k over a
+        # common denominator D, with the right side (D, 0, ..., 0)
+        g = math.gcd(*self.num)
+        x = K.gen()
+        cols = [_value(K, tuple(c // g for c in self.num), 1)]
+        for _ in range(n - 1):
+            cols.append(cols[-1] * x)
+        D = math.lcm(*(v.den for v in cols))
+        rows = [[v.num[i] * (D // v.den) for v in cols] + [D if i == 0 else 0]
+                for i in range(n)]
+        # every entry is a minor, so each division is exact, and at the end
+        # each diagonal entry is the determinant prev and column n is prev * y
+        prev = 1
+        for k in range(n):
+            p = next((i for i in range(k, n) if rows[i][k]), None)
+            if p is None:
+                raise NonInvertible("element is a zero divisor (reducible minimal polynomial)")
+            rows[k], rows[p] = rows[p], rows[k]
+            pivot_row = rows[k]
+            piv = pivot_row[k]
+            for i, row in enumerate(rows):
+                if i != k:
+                    f = row[k]
+                    row[k + 1:] = [(c * piv - f * e) // prev
+                                   for c, e in zip(row[k + 1:], pivot_row[k + 1:])]
+            prev = piv
+        sign = -1 if prev < 0 else 1
+        return _canonical(K, [sign * self.den * row[n] for row in rows], abs(prev) * g)
 
     def __truediv__(self, other):
         other = self._coerce(other)

@@ -779,6 +779,13 @@ def test_options_of_one_call_do_not_carry_over(tmp_path, capsys):
     assert out == GOLDEN_M8.read_text()
 
 
+def test_json_detect_builds_no_csv(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_csv_basis", lambda subspace: pytest.fail("CSV cell built"))
+    code, out, _ = run_cli(capsys, *DETECT_M8)
+    assert code == 0
+    assert out == GOLDEN_M8.read_text()
+
+
 def test_a_rejected_call_does_not_affect_the_next(capsys):
     code, out, err = run_cli(capsys, "detect", "--point", "[1,2,-3]", "--d", "two")
     assert code == 2 and out == "" and "invalid int value" in err

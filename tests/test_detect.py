@@ -357,6 +357,8 @@ def test_modular_intersection_count_is_exact(case):
     except AllPrimesBad:
         assume(False)
     exact = intersection_count(P, d, L, M)
+    # a reference that reads no period: every index tested on its own
+    assert exact == sum(subspace_membership(iterate(P, d, m), L) for m in range(M + 1))
     assert intersection_count(P, d, L, M, orbit=orbit) == exact
     if exact > L.rank:
         event("members beyond the spanning rank")
@@ -399,11 +401,12 @@ def test_cyclotomic_hyperplane_count_with_orbit(materialized):
 
 
 @pytest.mark.parametrize("primes, exact_indices", [
-    ([11], list(range(10))),      # L is not reduced at 11: all exact
-    ([11, 31], [0, 4, 8]),        # 31 certifies the non-members
+    ([11], [0, 1, 2, 3]),   # L is not reduced at 11: every distinct iterate is exact
+    ([11, 31], [0]),        # 31 certifies the non-members
 ])
 def test_denominator_divisible_by_filter_prime(materialized, primes, exact_indices):
-    # the basis carries 1/11; iterates 0, 4 and 8 lie on the line
+    # the basis carries 1/11; iterates 0, 4 and 8 lie on the line.  The
+    # orbit has period (0, 4), so only the distinct iterates 0..3 are tested
     P = ProjPoint(C5, [C5.one(), ZETA, ZETA ** 2])
     L = span_canonical([P.coords, [C5.zero(), C5.from_rational(11), C5.one()]])
     orbit = ModularOrbit(P, 2, primes, len(primes))

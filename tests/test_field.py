@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from superspan import field
 from superspan.errors import (
@@ -135,6 +135,10 @@ def test_noninvertible_zero_divisor():
     v = R.gen() - R.one()
     with pytest.raises(field.NonInvertible):
         v.inverse()
+    # x + 2 is a unit of the same ring: (x + 2)(x - 2) = x^2 - 4 = -3
+    u = R.gen() + 2
+    assert u.inverse() == R.element([Fraction(2, 3), Fraction(-1, 3)])
+    assert u * u.inverse() == R.one()
 
 
 @pytest.mark.parametrize("K", [Q, C5, field.number_field(SEXTIC)])
@@ -283,9 +287,20 @@ rationals = st.one_of(st.just(Fraction(0)),
                       st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)))
 
 
+def _pmul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                out[i + j] += c * d
+    return field._ptrim(out)
+
+
 def ref_mul(K, a, b):
     """a*b on Fraction coefficient tuples through _pmul and _pmod."""
-    prod = field._pmul(field._ptrim(list(a)), field._ptrim(list(b)))
+    prod = _pmul(field._ptrim(list(a)), field._ptrim(list(b)))
     if K.min_poly is not None:
         prod = field._pmod(prod, list(K.min_poly))
     return tuple(prod) + (Fraction(0),) * (K.degree - len(prod))
@@ -343,6 +358,69 @@ def test_kernel_matches_fraction_reference(case, e):
         assert_canonical(q / b, ref_mul(K, cq, inv.coeffs))
     if q:
         assert_canonical(a / q, tuple(x / q for x in ca))
+
+
+# ring -> the rational roots of f.  Each f is irreducible or a product of
+# linear factors, so a is a zero divisor exactly when it vanishes at one
+# of these roots.
+INVERSE_RINGS = [
+    (field.cyclotomic_field(11), []),
+    (field.number_field(SEXTIC), []),
+    (field.number_field(CUBIC), []),
+    (field.number_field([1, 0, 0, 0, 1]), []),           # x^4 + 1
+    (field.number_field([0, 0, 1]), [Fraction(0)]),        # x^2
+    (field.number_field([1, -2, 1]), [Fraction(1)]),       # (x - 1)^2
+    (field.number_field([-1, 0, 1]), [Fraction(1), Fraction(-1)]),
+    (field.number_field([2, -3, 1]), [Fraction(1), Fraction(2)]),
+]
+
+small_rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def inverse_cases(draw):
+    """(K, roots, a): a nonzero coefficient tuple, small, scaled by an
+    integer content up to 2^4000, c * x^k with a large c, or a multiple
+    of x - r for a rational root r of f."""
+    K, roots = draw(st.sampled_from(INVERSE_RINGS))
+    n = K.degree
+    kind = draw(st.sampled_from(["small", "content", "monomial"] + ["multiple"] * bool(roots)))
+    if kind == "multiple":
+        r = draw(st.sampled_from(roots))
+        h = draw(st.lists(small_rationals, min_size=n, max_size=n))
+        a = ref_mul(K, (-r, Fraction(1)) + (Fraction(0),) * (n - 2), h)
+        assume(any(a))
+        return K, roots, a
+    if kind == "monomial":
+        a = [Fraction(0)] * n
+        a[draw(st.integers(0, n - 1))] = Fraction(
+            draw(st.integers(-3 ** 1024, 3 ** 1024).filter(bool)), draw(st.integers(1, 12)))
+        return K, roots, tuple(a)
+    a = draw(st.lists(st.one_of(small_rationals, rationals), min_size=n, max_size=n)
+             .filter(any))
+    if kind == "content":
+        c = draw(st.integers(1, 2 ** 4000))
+        a = [c * v for v in a]
+    return K, roots, tuple(a)
+
+
+@PROPERTY
+@given(inverse_cases())
+@example((field.cyclotomic_field(11), [], (Fraction(3 ** 1024),) + (Fraction(0),) * 9))
+@example((field.number_field([-1, 0, 1]), [Fraction(1), Fraction(-1)],
+          (Fraction(2), Fraction(1))))
+def test_inverse_solves_a_y_equals_one(case):
+    K, roots, ca = case
+    assert all(sum(c * r ** i for i, c in enumerate(K.min_poly)) == 0 for r in roots)
+    a = field.FieldValue(K, ca)
+    if any(sum(c * r ** i for i, c in enumerate(ca)) == 0 for r in roots):
+        with pytest.raises(field.NonInvertible,
+                           match=r"^element is a zero divisor \(reducible minimal polynomial\)$"):
+            a.inverse()
+        return
+    inv = a.inverse()
+    assert ref_mul(K, inv.coeffs, ca) == embed(K, 1)
+    assert_canonical(inv, inv.coeffs)
 
 
 @PROPERTY
