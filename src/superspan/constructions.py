@@ -15,6 +15,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
+from operator import itemgetter, sub
 from typing import List, Optional, Sequence
 
 from . import linalg
@@ -220,9 +221,11 @@ def quadric_case_probe(P: ProjPoint, d: int, bound: int) -> dict:
     vector v must stay outside the lattice when the permutations share
     no fixed point (otherwise the tuples would be forced equal), and
     inside the lattice only as the zero vector when they do share one.
-    Any violation is reported as a counterexample.  The bound must be at
-    least 4, so that two such tuples exist, and at most 12: the work grows
-    like C(bound + 1, 4)^2 * 576, about 2.3-fold per step.
+    Any violation is reported as a counterexample, in the order of (m,
+    m_tilde, sigma, tau) by index.  The bound must be at least 4, so that
+    two such tuples exist, and at most 12.  The report counts C(bound + 1,
+    4) * (C(bound + 1, 4) - 1) * 576 checks, but the work is linear in the
+    tuple count: 276 lattice reductions per tuple.
     """
     if d < 2:
         raise ValueError("power map degree must be >= 2")
@@ -242,36 +245,43 @@ def quadric_case_probe(P: ProjPoint, d: int, bound: int) -> dict:
         raise OffQuadric("point does not satisfy x0*x1 = x2*x3")
 
     perms = list(permutations(range(4)))
-
     tuples = list(combinations(range(bound + 1), 4))
-    counterexamples = []
-    checked = 0
-    for m in tuples:
-        for mt in tuples:
-            if mt == m:
+    powers = [[d ** e for e in m] for m in tuples]
+    # v = E(m) - E(m_tilde) with E(m) = k o sigma - k o tau, so v lies in
+    # the lattice iff E(m) and E(m_tilde) reduce to the same representative,
+    # and v = 0 iff E(m) = E(m_tilde).  (tau, sigma) negates E and v, so it
+    # has the same hits; sigma = tau has fixed points and gives v = 0.
+    hits = []
+    for a, b in combinations(range(len(perms)), 2):
+        sigma, tau = perms[a], perms[b]
+        fixed_point_free = all(s != t for s, t in zip(sigma, tau))
+        case = "fixed_point_free" if fixed_point_free else "common_fixed_point"
+        at_sigma, at_tau = itemgetter(*sigma), itemgetter(*tau)
+        buckets = {}
+        for i, k in enumerate(powers):
+            e = tuple(map(sub, at_sigma(k), at_tau(k)))
+            rep = tuple(lattice_reduce(lattice, e))
+            buckets.setdefault(rep, {}).setdefault(e, []).append(i)
+        for classes in buckets.values():
+            if len(classes) == 1 and not fixed_point_free:
                 continue
-            gap = [d ** a - d ** b for a, b in zip(m, mt)]
-            # v = gap o sigma - gap o tau lies in the lattice iff both
-            # permuted gaps reduce to the same representative
-            permuted = [[gap[sigma[i]] for i in range(4)] for sigma in perms]
-            reps = [tuple(lattice_reduce(lattice, gs)) for gs in permuted]
-            classes = {}
-            for b, rep in enumerate(reps):
-                classes.setdefault(rep, []).append(b)
-            checked += len(perms) ** 2
-            for a, rep in enumerate(reps):
-                for b in classes[rep]:
-                    sigma, tau = perms[a], perms[b]
-                    v = [x - y for x, y in zip(permuted[a], permuted[b])]
-                    if all(s != t for s, t in zip(sigma, tau)):
-                        case = "fixed_point_free"
-                    elif any(v):
-                        case = "common_fixed_point"
-                    else:
-                        continue
-                    counterexamples.append({"m": list(m), "m_tilde": list(mt),
-                                            "sigma": list(sigma), "tau": list(tau),
-                                            "v": v, "case": case})
+            for e, group in classes.items():
+                partners = [j for e2, group2 in classes.items()
+                            if fixed_point_free or e2 != e for j in group2]
+                for i in group:
+                    for j in partners:
+                        if j != i:
+                            hits.append((i, j, a, b, case))
+                            hits.append((i, j, b, a, case))
+    hits.sort()
+    counterexamples = []
+    for i, j, a, b, case in hits:
+        m, mt, sigma, tau = tuples[i], tuples[j], perms[a], perms[b]
+        counterexamples.append({"m": list(m), "m_tilde": list(mt),
+                                "sigma": list(sigma), "tau": list(tau),
+                                "v": exponent_gap_vector(d, m, mt, sigma, tau),
+                                "case": case})
+    checked = len(tuples) * (len(tuples) - 1) * len(perms) ** 2
     return {
         "space": f"tuples with entries <= {bound}, all sigma/tau in S_4, d = {d}",
         "checked": checked,

@@ -22,6 +22,7 @@ compared blockwise, so every artifact here is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import islice, permutations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -49,6 +50,12 @@ def perm_sign(sigma: Perm) -> int:
     inversions = sum(1 for i in range(len(sigma)) for j in range(i + 1, len(sigma))
                      if sigma[i] > sigma[j])
     return -1 if inversions % 2 else 1
+
+
+@cache
+def _signed_group(r: int) -> Tuple[Tuple[Perm, int], ...]:
+    """S_{r+1} in lexicographic one-line order, each with its sign."""
+    return tuple((sigma, perm_sign(sigma)) for sigma in symmetric_group(r))
 
 
 def column_selections(r: int, n: int) -> List[Tuple[int, ...]]:
@@ -127,11 +134,11 @@ def det_terms(P: ProjPoint, d: int, m: Sequence[int],
         check_orbits(P, d, exact)
         pow_table = [[exact.power(p[i], mk) for mk in m] for i in range(r + 1)]
     entries = []
-    for sigma in symmetric_group(r):
+    for sigma, sign in _signed_group(r):
         value = pow_table[0][sigma[0]]
         for i in range(1, r + 1):
             value = value * pow_table[i][sigma[i]]
-        entries.append((sigma, perm_sign(sigma), value))
+        entries.append((sigma, sign, value))
     return TermVector(r, tuple(entries))
 
 
@@ -288,6 +295,7 @@ def fingerprint(P: ProjPoint, d: int, m: Sequence[int],
     that the normalized term data cannot separate them.
     """
     r = len(m) - 1
+    one = P.ambient.one()
     out = []
     for p in sorted(partitions):
         part = partitions[p]
@@ -297,5 +305,5 @@ def fingerprint(P: ProjPoint, d: int, m: Sequence[int],
         values = {perm: value for perm, _, value in tv.entries}
         for block in part.blocks:
             lead_inv = values[block[0]].inverse()
-            out.append(tuple(values[perm] * lead_inv for perm in block))
+            out.append((one, *(values[perm] * lead_inv for perm in block[1:])))
     return tuple(out)

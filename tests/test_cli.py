@@ -473,6 +473,24 @@ def test_verify_quadric(capsys):
     assert json.loads(out)["counterexamples"] == []
 
 
+def test_verify_quadric_golden_report(capsys):
+    # written by the probe that compared every tuple pair
+    code, out, _ = run_cli(capsys, "verify", "quadric", "--point", "[1,6,2,3]",
+                           "--d", "2", "--bound", "6")
+    assert code == 0
+    golden = Path(__file__).with_name("golden") / "verify_quadric_1_6_2_3_d2_bound6.json"
+    assert out == golden.read_text()
+
+
+def test_verify_quadric_default_bound(capsys):
+    # 715 tuples: 715 * 714 ordered pairs, each against 576 permutation pairs
+    code, out, _ = run_cli(capsys, "verify", "quadric", "--point", "[1,6,2,3]", "--d", "2")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["checked"] == 294053760
+    assert doc["counterexamples"] == []
+
+
 @pytest.mark.parametrize("d", [1, 0, -2])
 def test_verify_quadric_rejects_non_power_map_degree(capsys, d):
     code, out, err = run_cli(capsys, "verify", "quadric", "--point", "[1,6,2,3]",
@@ -495,7 +513,7 @@ def test_verify_rejects_a_bound_that_leaves_nothing_to_check(capsys, argv, messa
 
 
 def test_verify_quadric_bound_is_capped(capsys):
-    # the work grows about 2.3-fold per step of the bound
+    # 13 is one past the cap, which is also the default bound
     code, out, err = run_cli(capsys, "verify", "quadric", "--point", "[1,6,2,3]",
                              "--bound", "13")
     assert code == 2 and out == ""

@@ -138,17 +138,24 @@ def test_quadric_probe_rejects_wrong_dimension():
         quadric_case_probe(ProjPoint.rational([1, 6, 2]), 2, 4)
 
 
-@pytest.mark.parametrize("coarse", [
+COARSE_LATTICES = [
     ((1, 0, 0, -1), (0, 1, 0, -1), (0, 0, 1, -1)),   # every sum-zero vector
     ((1, 1, -1, -1), (0, 2, 0, -2)),
-])
-def test_quadric_probe_matches_per_pair_definition(monkeypatch, coarse):
+    # pivot 3: the representative of x - y is not rep(x) - rep(y)
+    ((1, 1, -1, -1), (0, 3, 0, -3)),
+]
+
+
+@pytest.mark.parametrize("coarse, d", [
+    pytest.param(coarse, d, id=f"coarse{i}" + ("" if d == 2 else f"-d{d}"))
+    for d in (2, 3) for i, coarse in enumerate(COARSE_LATTICES)])
+def test_quadric_probe_matches_per_pair_definition(monkeypatch, coarse, d):
     # reducing modulo a lattice coarser than R(P) makes counterexamples
     # appear; the reference tests every pair for membership on its own
     L = relations.RelLattice(4, coarse)
     monkeypatch.setattr(constructions, "lattice_reduce",
                         lambda lattice, v: relations.lattice_reduce(L, v))
-    d, bound = 2, 4
+    bound = 4
     report = quadric_case_probe(ProjPoint.rational([1, 6, 2, 3]), d, bound)
     expected, checked = [], 0
     tuples = list(combinations(range(bound + 1), 4))
