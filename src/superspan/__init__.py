@@ -38,7 +38,6 @@ from .linalg import (
     span_canonical,
     super_rank,
 )
-from .mpoly import MPoly, divide_exact, mpoly_product, sym_det
 from .oracles import OracleResult, power_diff_classify, vanishing_subsum_bruteforce
 from .orbit import (
     DEFAULT_EXPONENT_BUDGET,

@@ -130,7 +130,10 @@ def verify_cyclotomic_family(d: int, ell: int, tail: Sequence,
                              max_iter: int = 20, budget: Optional[int] = None) -> dict:
     """Exact verification of the family's membership pattern and of the
     super-spanning of each hyperplane by n+1 orbit points.  An iterate
-    whose exponent d^m exceeds the budget raises ExponentBudgetExceeded."""
+    whose exponent d^m exceeds the budget raises ExponentBudgetExceeded,
+    and a max_iter below 0, which leaves no iterate to check, ValueError."""
+    if max_iter < 0:
+        raise ValueError(f"max_iter {max_iter} must be >= 0, or no iterate is checked")
     family = cyclotomic_family(d, ell, tail)
     P = family.point
     n = P.dim

@@ -47,7 +47,7 @@ from .errors import BadPrime, ExponentBudgetExceeded, Unsupported, ZeroCoordinat
 from .field import is_prime
 from .linalg import (Subspace, echelon_mod_p, modular_rank_filter, residual_mod_p,
                      span_canonical, super_rank)
-from .orbit import ExactOrbit, ModularOrbit, ProjPoint, check_orbits
+from .orbit import ExactOrbit, ModularOrbit, ProjPoint, check_ambient, check_orbits
 
 DEFAULT_FILTER_PRIME_COUNT = 3
 # each filter prime costs a reduction of every coordinate and subspace
@@ -110,9 +110,11 @@ def intersection_count(P: ProjPoint, d: int, L: Subspace, max_iter: int,
     When the orbit is preperiodic (ExactOrbit.period), only its distinct
     iterates 0..M' are tested, each weighed by the number of indices up
     to M that it stands for.
-    Raises ValueError when orbit or exact is not the orbit of P under d.
+    Raises ValueError when orbit or exact is not the orbit of P under d,
+    and DimensionMismatch when L is not a subspace of P's space.
     """
     check_orbits(P, d, orbit, exact)
+    check_ambient(P, L)
     if exact is None:
         exact = ExactOrbit(P, d)
     classes = _index_classes(exact.period(), max_iter)

@@ -71,10 +71,6 @@ class ShapeMismatch(SuperspanError, ValueError):
     """Matrix shape violates an operation's requirements."""
 
 
-class NonSquareMatrix(SuperspanError, ValueError):
-    """Square matrix required."""
-
-
 class IndexOutOfRange(SuperspanError, IndexError):
     """Row or position index outside the valid range."""
 
@@ -82,12 +78,6 @@ class IndexOutOfRange(SuperspanError, IndexError):
 class Unsupported(SuperspanError, ValueError):
     """Input is outside the supported scope (e.g. r = 0, general algebraic
     coordinates in the relation lattice)."""
-
-
-# --- polynomials ---
-
-class NotDivisible(SuperspanError, ArithmeticError):
-    """Exact polynomial division left a nonzero remainder."""
 
 
 # --- subsum analysis ---

@@ -20,6 +20,7 @@ basis needs.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
 from typing import Iterable, Optional, Sequence
@@ -122,6 +123,13 @@ def check_orbits(P: ProjPoint, d: int, *orbits) -> None:
     of P under the degree-d map: another orbit's values say nothing of P."""
     if any(o is not None and (o.point != P or o.degree != d) for o in orbits):
         raise ValueError(f"an orbit given is not the orbit of {P} under degree {d}")
+
+
+def check_ambient(P: ProjPoint, L: linalg.Subspace) -> None:
+    """Raise DimensionMismatch unless L is a subspace of P's space."""
+    if P.dim != L.ambient_dim:
+        raise DimensionMismatch(
+            f"point in P^{P.dim} tested against a subspace of P^{L.ambient_dim}")
 
 
 class ExactOrbit:
@@ -257,6 +265,7 @@ def _find_cycle(point: ProjPoint, d: int) -> Optional[tuple]:
     return first[x], m - first[x], w
 
 
+@dataclass(frozen=True)
 class IterMatrix:
     """The (r+1)x(n+1) matrix of iterates A_m, as a view of an ExactOrbit.
 
@@ -266,14 +275,8 @@ class IterMatrix:
     Build one with iterate_matrix, which validates the tuple.
     """
 
-    __slots__ = ("orbit", "tuple")
-
-    def __init__(self, orbit: ExactOrbit, m: tuple):
-        object.__setattr__(self, "orbit", orbit)
-        object.__setattr__(self, "tuple", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IterMatrix is immutable")
+    orbit: ExactOrbit
+    tuple: tuple
 
     def rows(self):
         return [list(row) for row in self.orbit.rows(self.tuple)]
@@ -361,9 +364,7 @@ def _in_span(P: ProjPoint, coord, L: linalg.Subspace) -> bool:
     the sum of the rows' entries there scaled by the point's pivot
     coordinates.  No elimination, no inverse, and a pivot coordinate is
     read only where its row is nonzero."""
-    if P.dim != L.ambient_dim:
-        raise DimensionMismatch(
-            f"point in P^{P.dim} tested against a subspace of P^{L.ambient_dim}")
+    check_ambient(P, L)
     pivots = [next(j for j, v in enumerate(row) if v) for row in L.basis]
     zero = P.ambient.zero()
     return all(sum((coord(k) * row[j] for k, row in zip(pivots, L.basis) if row[j]),

@@ -5,6 +5,8 @@ import json
 import random
 import time
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations, permutations
 
 from superspan import field, linalg
 from superspan.cli import main as cli_main
@@ -16,7 +18,6 @@ from superspan.constructions import (
     verify_sextic_example,
 )
 from superspan.detect import enumerate_exceptional, intersection_count
-from superspan.mpoly import MPoly, divide_exact, mpoly_product, sym_det
 from superspan.oracles import power_diff_classify
 from superspan.orbit import ProjPoint, iterate_matrix
 from superspan.relations import lattice_contains, relation_lattice
@@ -28,9 +29,6 @@ from superspan.subsum import (
     det_terms,
     fingerprint,
 )
-
-VARS = ("a", "b", "c")
-
 
 class Criterion:
     def __init__(self, number, description, limit_s):
@@ -53,32 +51,60 @@ class Criterion:
         return False
 
 
-def _vp(i, k):
-    return MPoly.var_power(VARS, i, k)
+# Polynomials in a, b, c are dicts from exponent triples to nonzero
+# integer coefficients.
+
+def _power_det(exponents):
+    """det[x_j^(e_i)] over x = (a, b, c) by Leibniz: the permutation s
+    gives the monomial with exponent e_(s_j) on x_j and coefficient
+    sign(s), which is also the sign of its inverse."""
+    return {tuple(exponents[i] for i in s):
+            (-1) ** sum(s[i] > s[j] for i, j in combinations(range(3), 2))
+            for s in permutations(range(3))}
 
 
-def _power_rows(exponents):
-    return [[_vp(j, e) for j in range(3)] for e in exponents]
+def _mul(f, g):
+    out = {}
+    for e, c in f.items():
+        for e2, c2 in g.items():
+            key = tuple(x + y for x, y in zip(e, e2))
+            out[key] = out.get(key, 0) + c * c2
+    return {e: c for e, c in out.items() if c}
 
 
-def _factors():
-    a, b, c = _vp(0, 1), _vp(1, 1), _vp(2, 1)
-    return [a, b, c, a - b, b - c, c - a, a + b + c]
+def _substitute(f, i, j=None):
+    """f with x_i = 0 when j is None, else with x_i = x_j, collected."""
+    out = {}
+    for e, c in f.items():
+        if j is None and e[i]:
+            continue
+        key = tuple(0 if k == i else x + e[i] if k == j else x for k, x in enumerate(e))
+        out[key] = out.get(key, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+A, B, C = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+SEVEN_FORMS = [{A: 1}, {B: 1}, {C: 1}, {A: 1, B: -1}, {B: 1, C: -1}, {C: 1, A: -1},
+               {A: 1, B: 1, C: 1}]
 
 
 def test_criterion_1_first_determinant_identity():
     with Criterion(1, "det(1,2,4 exponents) equals the seven-factor product", 1.0):
-        d = sym_det(_power_rows((1, 2, 4)))
-        assert d == mpoly_product(_factors())
+        assert _power_det((1, 2, 4)) == reduce(_mul, SEVEN_FORMS)
 
 
 def test_criterion_2_second_determinant_cofactor():
     with Criterion(2, "det(1,8,16 exponents) = abc(a-b)(b-c)(c-a) * h, deg h = 19", 5.0):
-        d = sym_det(_power_rows((1, 8, 16)))
-        base = mpoly_product(_factors()[:6])
-        h = divide_exact(d, base)
-        assert h.total_degrees() == {19}
-        assert base * h == d
+        d = _power_det((1, 8, 16))
+        assert len(d) == 6 and {sum(e) for e in d} == {25}
+        # d vanishes on a = 0, b = 0, c = 0, a = b, b = c and c = a, so each
+        # of a, b, c, a-b, b-c, c-a divides it.  These six linear forms are
+        # pairwise non-associate primes of the UFD Z[a, b, c], so their
+        # product divides d, and the quotient h is homogeneous of degree
+        # 25 - 6 = 19 because d is homogeneous of degree 25.
+        for i in range(3):
+            assert _substitute(d, i) == {}
+            assert _substitute(d, i, (i + 1) % 3) == {}
 
 
 def test_criterion_3_sextic_example(capsys):

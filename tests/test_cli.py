@@ -505,6 +505,7 @@ def test_verify_quadric_rejects_non_power_map_degree(capsys, d):
     (["quadric", "--point", "[1,6,2,3]", "--d", "3", "--bound", "3"], "must be at least 4"),
     (["lemmas", "--bound", "-3"], "must be >= 0"),
     (["lemmas", "--d", "2", "--bound", "-3"], "must be >= 0"),
+    (["cyclotomic", "--ell", "5", "--max-iter", "-1"], "must be >= 0"),
 ])
 def test_verify_rejects_a_bound_that_leaves_nothing_to_check(capsys, argv, message):
     code, out, err = run_cli(capsys, "verify", *argv)

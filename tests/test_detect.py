@@ -16,6 +16,7 @@ from superspan.detect import (
 from superspan.errors import (
     AllPrimesBad,
     BadPrime,
+    DimensionMismatch,
     ExponentBudgetExceeded,
     NonInvertible,
     Unsupported,
@@ -431,6 +432,19 @@ def test_intersection_count_rejects_another_orbit(coords, d):
     same = ProjPoint.rational([1, 2, -3])
     assert intersection_count(P, 2, L, 3, orbit=ModularOrbit(same, 2, stream_primes(3), 3),
                               exact=ExactOrbit(same, 2)) == 3
+
+
+@pytest.mark.parametrize("coords", [[1, 5], [1, 5, 7, 11]])
+def test_intersection_count_rejects_a_subspace_of_another_space(coords):
+    # checked before the orbit's residual test, which would zip rows of
+    # different lengths and read every iterate as off L
+    P = ProjPoint.rational([1, 2, -3])
+    Q = ProjPoint.rational(coords)
+    L = span_canonical([iterate(Q, 2, 0)])
+    with pytest.raises(DimensionMismatch):
+        intersection_count(P, 2, L, 5)
+    with pytest.raises(DimensionMismatch):
+        intersection_count(P, 2, L, 5, orbit=ModularOrbit(P, 2, stream_primes(3), 3))
 
 
 def test_modular_count_keeps_budget_errors():
