@@ -9,10 +9,11 @@ denominator (Cohen, A Course in Computational Algebraic Number Theory,
 4.2).  A product is an integer convolution reduced through the rows
 x^k mod f, k >= deg(f), computed once per minimal polynomial.  The
 inverse of a = (g / den) * b, g the content of a's numerators, solves
-b * y = 1 in the integer matrix of the columns b * x^k by fraction-free
-Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968); g goes first,
-as the minors of c * b carry c^deg(f).  A singular matrix means that a
-is a zero divisor of a reducible f.  Only _pmod, which reduces overlong
+b * y = 1 in the integer matrix of the columns b * x^k with bareiss,
+the fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
+1968) that linalg also runs on rational matrices; g goes first, as the
+minors of c * b carry c^deg(f).  A singular matrix means that a is a
+zero divisor of a reducible f.  Only _pmod, which reduces overlong
 coefficient lists, still works on Fraction polynomials.  All operations
 are pure and every value is immutable, so values may be shared freely.
 
@@ -128,6 +129,49 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+# ----------------------------------------------------------------------
+# fraction-free elimination
+# ----------------------------------------------------------------------
+
+def bareiss(mat: list) -> tuple:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix in
+    place (Bareiss, Math. Comp. 22, 1968); returns (pivot columns, last
+    pivot, swap sign).
+
+    Each pivot is the first nonzero entry of its column at or below the
+    pivot row.  Every other row is zeroed in the pivot column and updated
+    on the columns after it, so each entry there is a minor of mat and
+    each division is exact.  At the end the last pivot is the determinant
+    of the pivot rows at the pivot columns, each column after the last
+    pivot column is the last pivot times its RREF column, and every other
+    entry is zero exactly where its RREF value is zero.
+    """
+    nrows = len(mat)
+    pivots = []
+    prev, sign = 1, 1
+    for col in range(len(mat[0]) if mat else 0):
+        k = len(pivots)
+        if k == nrows:
+            break
+        p = next((i for i in range(k, nrows) if mat[i][col]), None)
+        if p is None:
+            continue
+        if p != k:
+            mat[k], mat[p] = mat[p], mat[k]
+            sign = -sign
+        pivot_row = mat[k]
+        piv = pivot_row[col]
+        for i, row in enumerate(mat):
+            if i != k:
+                f = row[col]
+                row[col + 1:] = [(c * piv - f * e) // prev
+                                 for c, e in zip(row[col + 1:], pivot_row[col + 1:])]
+                row[col] = 0
+        pivots.append(col)
+        prev = piv
+    return pivots, prev, sign
 
 
 # ----------------------------------------------------------------------
@@ -392,24 +436,12 @@ class FieldValue:
         D = math.lcm(*(v.den for v in cols))
         rows = [[v.num[i] * (D // v.den) for v in cols] + [D if i == 0 else 0]
                 for i in range(n)]
-        # every entry is a minor, so each division is exact, and at the end
-        # each diagonal entry is the determinant prev and column n is prev * y
-        prev = 1
-        for k in range(n):
-            p = next((i for i in range(k, n) if rows[i][k]), None)
-            if p is None:
-                raise NonInvertible("element is a zero divisor (reducible minimal polynomial)")
-            rows[k], rows[p] = rows[p], rows[k]
-            pivot_row = rows[k]
-            piv = pivot_row[k]
-            for i, row in enumerate(rows):
-                if i != k:
-                    f = row[k]
-                    row[k + 1:] = [(c * piv - f * e) // prev
-                                   for c, e in zip(row[k + 1:], pivot_row[k + 1:])]
-            prev = piv
-        sign = -1 if prev < 0 else 1
-        return _canonical(K, [sign * self.den * row[n] for row in rows], abs(prev) * g)
+        # with a pivot in every column of b, column n is det * y
+        pivots, det, _ = bareiss(rows)
+        if pivots != list(range(n)):
+            raise NonInvertible("element is a zero divisor (reducible minimal polynomial)")
+        sign = -1 if det < 0 else 1
+        return _canonical(K, [sign * self.den * row[n] for row in rows], abs(det) * g)
 
     def __truediv__(self, other):
         other = self._coerce(other)

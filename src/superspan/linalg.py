@@ -1,11 +1,13 @@
 """Exact linear algebra over the ambient field.
 
-Rank over the rationals runs fraction-free (Bareiss) on integer-scaled
-rows; over number fields it falls back to ordinary elimination with
-exact division, which also yields the RREF.  Subspaces are kept in RREF,
-the canonical representation used to deduplicate the map from iterate
-tuples to their spans.  super_rank needs at most one elimination: it
-reads the left kernel of the matrix off [A | I].
+Two Gauss-Jordan kernels do all exact elimination.  Rank, determinant
+and super_rank over the rationals scale the rows to integers and run
+field.bareiss, the fraction-free kernel that field inverses also run
+on; the rest, the RREF included, runs _field_eliminate, which divides
+exactly.  Subspaces are kept in RREF, the canonical representation used
+to deduplicate the map from iterate tuples to their spans.  super_rank
+needs at most one elimination, of A^T, and reads the left kernel of A
+off its free column.
 
 The modular rank filter certifies full rank of an iterate matrix from a
 single prime.  Evaluating a value at a root of f mod p is a ring
@@ -30,18 +32,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from .errors import ShapeMismatch
-from .field import FieldDesc, FieldValue, RATIONAL
+from .field import FieldDesc, FieldValue, RATIONAL, bareiss
 
 
 def _coerce_rows(rows) -> List[List[FieldValue]]:
-    """Accept sequences of FieldValue rows or ProjPoint-likes (via .coords)."""
-    out = []
-    for row in rows:
-        row = getattr(row, "coords", row)
-        out.append(list(row))
+    """Accept sequences of FieldValue rows or ProjPoint-likes (via .coords);
+    rows of unequal length raise ShapeMismatch."""
+    out = [list(getattr(row, "coords", row)) for row in rows]
+    if len({len(row) for row in out}) > 1:
+        raise ShapeMismatch("rows of unequal length")
     return out
 
 
@@ -64,77 +66,36 @@ def _integer_rows(rows):
     return out, scale
 
 
-def _bareiss(mat: List[List[int]], pivot_cols: Optional[int] = None):
-    """Fraction-free elimination; returns (rank, det_of_leading_pivots,
-    swap_sign).  The last pivot equals the determinant of the pivot
-    submatrix, so for square full-rank input it is the determinant.
-    Pivots are sought in the first pivot_cols columns only; the division
-    stays exact on the columns after them, as every entry is a minor."""
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    prev = 1
-    pivot_row = 0
-    sign = 1
-    last_pivot = 1
-    for col in range(ncols if pivot_cols is None else pivot_cols):
-        if pivot_row >= nrows:
-            break
-        pr = None
-        for r in range(pivot_row, nrows):
-            if mat[r][col]:
-                pr = r
-                break
-        if pr is None:
-            continue
-        if pr != pivot_row:
-            mat[pivot_row], mat[pr] = mat[pr], mat[pivot_row]
-            sign = -sign
-        piv = mat[pivot_row][col]
-        for r in range(pivot_row + 1, nrows):
-            for c in range(col + 1, ncols):
-                mat[r][c] = (mat[r][c] * piv - mat[r][col] * mat[pivot_row][c]) // prev
-            mat[r][col] = 0
-        prev = piv
-        last_pivot = piv
-        pivot_row += 1
-    return pivot_row, last_pivot, sign
-
-
-def _field_eliminate(rows: List[List[FieldValue]], pivot_cols: Optional[int] = None,
-                     reduced: bool = False):
-    """Ordinary elimination with exact division; returns (rank, pivot
-    product, swap sign).  Pivots are sought in the first pivot_cols
-    columns only, and inverted, so a zero divisor raises NonInvertible.
-    With reduced, pivot columns are cleared above the pivots too (RREF)."""
+def _field_eliminate(rows: List[List[FieldValue]]):
+    """Gauss-Jordan elimination with exact division, leaving the RREF in
+    rows; returns (pivot columns, pivot product, swap sign).  Pivots are
+    inverted, so a zero divisor raises NonInvertible."""
     nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    ambient = _ambient_of(rows)
-    pivot_row = 0
+    pivots = []
     sign = 1
-    det = ambient.one()
-    for col in range(ncols if pivot_cols is None else pivot_cols):
-        if pivot_row >= nrows:
+    ambient = _ambient_of(rows)
+    zero, one = ambient.zero(), ambient.one()
+    det = one
+    for col in range(len(rows[0])):
+        k = len(pivots)
+        if k == nrows:
             break
-        pr = None
-        for r in range(pivot_row, nrows):
-            if not rows[r][col].is_zero():
-                pr = r
-                break
-        if pr is None:
+        p = next((i for i in range(k, nrows) if not rows[i][col].is_zero()), None)
+        if p is None:
             continue
-        if pr != pivot_row:
-            rows[pivot_row], rows[pr] = rows[pr], rows[pivot_row]
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
             sign = -sign
-        piv = rows[pivot_row][col]
+        piv = rows[k][col]
         det = det * piv
         inv = piv.inverse()
-        rows[pivot_row] = [v * inv for v in rows[pivot_row]]
-        for r in range(0 if reduced else pivot_row + 1, nrows):
-            f = rows[r][col]
-            if r != pivot_row and not f.is_zero():
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[pivot_row])]
-        pivot_row += 1
-    return pivot_row, det, sign
+        rows[k][col:] = pivot_row = [one] + [v * inv for v in rows[k][col + 1:]]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if i != k and not f.is_zero():
+                row[col:] = [zero] + [a - f * b for a, b in zip(row[col + 1:], pivot_row[1:])]
+        pivots.append(col)
+    return pivots, det, sign
 
 
 def rank(rows) -> int:
@@ -143,27 +104,25 @@ def rank(rows) -> int:
     if not rows or not rows[0]:
         return 0
     if _ambient_of(rows).kind == RATIONAL:
-        r, _, _ = _bareiss(_integer_rows(rows)[0])
-        return r
-    r, _, _ = _field_eliminate(rows)
-    return r
+        return len(bareiss(_integer_rows(rows)[0])[0])
+    return len(_field_eliminate(rows)[0])
 
 
 def det(rows) -> FieldValue:
     """Exact determinant of a square matrix of field values."""
     rows = _coerce_rows(rows)
     n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ShapeMismatch("determinant needs a square matrix")
+    if not n or len(rows[0]) != n:
+        raise ShapeMismatch("determinant needs a nonempty square matrix")
     ambient = _ambient_of(rows)
     if ambient.kind == RATIONAL:
         int_rows, scale = _integer_rows(rows)
-        r, last_pivot, sign = _bareiss(int_rows)
-        if r < n:
+        pivots, last_pivot, sign = bareiss(int_rows)
+        if len(pivots) < n:
             return ambient.zero()
         return ambient.from_rational(Fraction(sign * last_pivot, scale))
-    r, pivot_product, sign = _field_eliminate(rows)
-    if r < n:
+    pivots, pivot_product, sign = _field_eliminate(rows)
+    if len(pivots) < n:
         return ambient.zero()
     return pivot_product * ambient.from_rational(sign)
 
@@ -173,8 +132,7 @@ def rref(rows) -> List[List[FieldValue]]:
     rows = _coerce_rows(rows)
     if not rows or not rows[0]:
         return []
-    r, _, _ = _field_eliminate(rows, reduced=True)
-    return rows[:r]
+    return rows[:len(_field_eliminate(rows)[0])]
 
 
 # ----------------------------------------------------------------------
@@ -212,26 +170,28 @@ def super_rank(rows) -> bool:
     also has rank r (the matrix analogue of super-spanning).
 
     For r >= 2 two equal rows fail at once, as every r rows holding both
-    have rank below r.  Otherwise [A | I] is eliminated with pivots in A:
-    when rank A = r, the I part of its zero row spans the left kernel of
-    A, and the rows other than row t are independent iff its t-th entry
-    is nonzero."""
+    have rank below r.  Otherwise A^T is eliminated once, by bareiss over
+    Q and by _field_eliminate over a number field.  A has rank r iff A^T
+    has r pivot columns; then the one free column f gives the left-kernel
+    vector c of A, with c_f = 1 and c_(p_i) proportional to the entry of
+    pivot row i at f.  The rows other than row t are independent iff
+    c_t != 0, so A super-spans iff every pivot row is nonzero at f."""
     rows = _coerce_rows(rows)
     r = len(rows) - 1
-    ncols = len(rows[0]) if rows else 0
-    if r < 0 or ncols < len(rows):
+    if r < 0 or len(rows[0]) < len(rows):
         raise ShapeMismatch("need r+1 rows and at least r+1 columns")
     if r >= 2 and len(set(map(tuple, rows))) <= r:
         return False
-    ambient = _ambient_of(rows)
-    if ambient.kind == RATIONAL:
-        rows, one, zero, eliminate = _integer_rows(rows)[0], 1, 0, _bareiss
+    if _ambient_of(rows).kind == RATIONAL:
+        rows, eliminate = _integer_rows(rows)[0], bareiss
     else:
-        one, zero, eliminate = ambient.one(), ambient.zero(), _field_eliminate
-    mat = [row + [one if t == i else zero for t in range(r + 1)]
-           for i, row in enumerate(rows)]
-    rank_a, _, _ = eliminate(mat, ncols)
-    return rank_a == r and all(mat[r][ncols:])
+        eliminate = _field_eliminate
+    cols = [list(col) for col in zip(*rows)]
+    pivots, _, _ = eliminate(cols)
+    if len(pivots) != r:
+        return False
+    f = min(set(range(r + 1)) - set(pivots))
+    return all(cols[i][f] for i in range(r))
 
 
 # ----------------------------------------------------------------------

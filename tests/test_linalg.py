@@ -60,6 +60,22 @@ def test_super_rank_shape_checks():
         linalg.super_rank(qrows([[1, 2], [3, 4], [5, 6]]))  # 3 rows, 2 cols
 
 
+def test_ragged_and_empty_input_rejected():
+    # a transpose by zip(*rows) would truncate ragged rows silently
+    with pytest.raises(ShapeMismatch):
+        linalg.rank(qrows([[1], [1, 2]]))
+    with pytest.raises(ShapeMismatch):
+        linalg.span_canonical(qrows([[1, 0], [0, 1, 7]]))
+    with pytest.raises(ShapeMismatch):
+        linalg.super_rank(qrows([[1, 2, 3], [1, 4], [1, 16, 81]]))
+    with pytest.raises(ShapeMismatch):
+        linalg.super_rank([[C5.one(), ZETA], [C5.one(), ZETA, ZETA]])
+    with pytest.raises(ShapeMismatch):
+        linalg.det([])
+    with pytest.raises(ShapeMismatch):
+        linalg.det(qrows([[1, 2], [3]]))
+
+
 def test_span_canonical_unit_rows():
     s = linalg.span_canonical(qrows([[1, 0, 0], [0, 1, 0]]))
     assert s.dim_projective == 1
@@ -140,29 +156,28 @@ def test_cyclotomic_filter_matches_exact():
     assert linalg.rank(iterate_matrix(P, 2, (0, 4, 8)).rows()) == 3
 
 
-def _naive_fraction_rank(data):
-    # independent oracle: textbook Gaussian elimination on Fractions
+def _fraction_gauss_jordan(data):
+    """Independent oracle: textbook Gauss-Jordan elimination on Fractions,
+    with the first nonzero row as pivot.  Returns (pivot columns, the
+    reduced rows, the original index of each reduced row)."""
     rows = [[Fraction(x) for x in row] for row in data]
-    rank_count = 0
-    pivot_row = 0
+    order = list(range(len(rows)))
+    pivots = []
     for col in range(len(rows[0])):
-        pr = None
-        for r in range(pivot_row, len(rows)):
-            if rows[r][col] != 0:
-                pr = r
-                break
+        k = len(pivots)
+        pr = next((r for r in range(k, len(rows)) if rows[r][col] != 0), None)
         if pr is None:
             continue
-        rows[pivot_row], rows[pr] = rows[pr], rows[pivot_row]
-        piv = rows[pivot_row][col]
-        rows[pivot_row] = [v / piv for v in rows[pivot_row]]
+        rows[k], rows[pr] = rows[pr], rows[k]
+        order[k], order[pr] = order[pr], order[k]
+        piv = rows[k][col]
+        rows[k] = [v / piv for v in rows[k]]
         for r in range(len(rows)):
-            if r != pivot_row and rows[r][col] != 0:
+            if r != k and rows[r][col] != 0:
                 f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[pivot_row])]
-        pivot_row += 1
-        rank_count += 1
-    return rank_count
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[k])]
+        pivots.append(col)
+    return pivots, rows, order
 
 
 def _naive_det(data, one=Fraction(1)):
@@ -189,7 +204,7 @@ def test_rank_against_naive_oracle():
         if rng.random() < 0.5 and nr >= 2:
             # force degeneracy: repeat or scale a row
             data[rng.randrange(nr)] = [x * 2 for x in data[rng.randrange(nr)]]
-        assert linalg.rank(qrows(data)) == _naive_fraction_rank(data)
+        assert linalg.rank(qrows(data)) == len(_fraction_gauss_jordan(data)[0])
 
 
 def test_det_against_permutation_expansion():
@@ -210,6 +225,43 @@ def test_det_against_permutation_expansion():
             if n >= 2 and rng.random() < 0.25:
                 rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]  # singular
             assert linalg.det(rows) == _naive_det(rows, K.one())
+
+
+@st.composite
+def integer_matrices(draw):
+    """Small integer matrices, wide, tall or square, whose rows are
+    sometimes combinations of earlier rows (singular, rank-deficient)."""
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    mat = [draw(st.lists(st.integers(-6, 6), min_size=ncols, max_size=ncols))
+           for _ in range(nrows)]
+    for i in range(1, nrows):
+        if draw(st.booleans()):
+            a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            j = draw(st.integers(0, i - 1))
+            mat[i] = [a * x + b * y for x, y in zip(mat[j], mat[i - 1])]
+    return mat
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(integer_matrices())
+@example([[0, 1, 2], [0, 2, 4], [0, 3, 7]])   # zero first column, dependent row
+@example([[1, 2, 3], [2, 4, 5], [3, 6, 9]])   # free column between pivots
+def test_bareiss_matches_fraction_gauss_jordan(data):
+    mat = [list(row) for row in data]
+    pivots, last, sign = field.bareiss(mat)
+    expected, reduced, order = _fraction_gauss_jordan(data)
+    assert pivots == expected
+    k = len(pivots)
+    block = [[data[i][c] for c in pivots] for i in order[:k]]
+    assert last == (_naive_det(block) if k else 1)
+    if len(data) == len(data[0]):
+        assert sign * last * (k == len(data)) == _naive_det(data)
+    # columns after the last pivot column are last times the RREF column
+    for c in range(pivots[-1] + 1 if pivots else 0, len(data[0])):
+        assert [Fraction(row[c], last) for row in mat] == [row[c] for row in reduced]
+    # entries left stale keep the zero pattern of their RREF value
+    assert [[bool(v) for v in row] for row in mat] == [[bool(v) for v in row] for row in reduced]
+    event(f"{len(data)}x{len(data[0])}, rank {k}")
 
 
 # ----------------------------------------------------------------------
@@ -272,6 +324,11 @@ def super_rank_cases(draw):
 @example(qrows([[1, 2, -3], [1, 4, 9], [1, 2, -3]]))   # rows a, b, a at r = 2
 @example(qrows([[1, 2, -3], [2, 4, -6], [1, 4, 9]]))   # proportional rows at r = 2
 @example([[ZETA, C5.one(), C5.from_rational(2)]] * 2)  # two equal rows at r = 1
+# row 2 = row 0 + row 1, so column 2 of A^T is free and not the last
+@example(qrows([[1, 2, 4, 8], [1, 3, 9, 27], [2, 5, 13, 35], [1, 5, 25, 125]]))
+# row 1 = alpha * row 0, so column 1 of A^T is free and not the last
+@example([[K6.one(), K6.gen(), K6.gen() ** 2], [K6.gen(), K6.gen() ** 2, K6.gen() ** 3],
+          [K6.gen(), K6.one(), K6.from_rational(3)]])
 def test_super_rank_matches_definition(rows):
     expected = super_rank_by_definition(rows)
     assert linalg.super_rank(rows) == expected
@@ -287,7 +344,7 @@ def test_repeated_rows_need_no_elimination(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("eliminated")
 
-    monkeypatch.setattr(linalg, "_bareiss", refuse)
+    monkeypatch.setattr(linalg, "bareiss", refuse)
     monkeypatch.setattr(linalg, "_field_eliminate", refuse)
     a, b = qrows([[1, 2, -3], [1, 4, 9]])
     assert not linalg.super_rank([a, b, a])
