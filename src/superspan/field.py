@@ -13,7 +13,9 @@ b * y = 1 in the integer matrix of the columns b * x^k with bareiss,
 the fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
 1968) that linalg also runs on rational matrices; g goes first, as the
 minors of c * b carry c^deg(f).  A singular matrix means that a is a
-zero divisor of a reducible f.  Only _pmod, which reduces overlong
+zero divisor of a reducible f.  A power of a monomial q * zeta^a of
+Q(zeta_ell) is q^e * zeta^(a*e mod ell), two int powers; every other
+power goes by square-and-multiply.  Only _pmod, which reduces overlong
 coefficient lists, still works on Fraction polynomials.  All operations
 are pure and every value is immutable, so values may be shared freely.
 
@@ -36,7 +38,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from . import modp
 from .errors import (
@@ -462,9 +464,18 @@ class FieldValue:
             return self.ambient.one()
         if e < 0:
             return self.inverse() ** (-e)
-        if self.ambient.degree == 1:
-            return _value(self.ambient, (self.num[0] ** e,), self.den ** e)
-        result = self.ambient.one()
+        K = self.ambient
+        if K.degree == 1:
+            return _value(K, (self.num[0] ** e,), self.den ** e)
+        monomial = cyclotomic_monomial(self)
+        if monomial is not None:
+            # (c / den * zeta^a)^e = c^e / den^e * zeta^(a*e mod ell), and
+            # gcd(c, den) = 1 keeps the result in lowest terms
+            c, a = monomial
+            n, b, ce = K.degree, a * e % K.cyclotomic_order, c ** e
+            num = (-ce,) * n if b == n else (0,) * b + (ce,) + (0,) * (n - 1 - b)
+            return _value(K, num, self.den ** e)
+        result = K.one()
         base = self
         while e:
             if e & 1:
@@ -476,6 +487,26 @@ class FieldValue:
 
 
 _set = object.__setattr__
+
+
+def cyclotomic_monomial(v: FieldValue) -> Optional[Tuple[int, int]]:
+    """(c, a) with v = (c / v.den) * zeta^a and 0 <= a < ell when v is a
+    nonzero monomial of Q(zeta_ell); None for any other value or field.
+
+    In the basis 1, zeta, ..., zeta^(ell-2) a monomial has one nonzero
+    numerator c, at a, except c * zeta^(ell-1) = -c (1 + zeta + ... +
+    zeta^(ell-2)), whose ell - 1 numerators all equal -c.
+    """
+    if v.ambient.kind != CYCLOTOMIC:
+        return None
+    num = v.num
+    zeros = num.count(0)
+    if zeros == len(num) - 1:
+        a = next(i for i, c in enumerate(num) if c)
+        return num[a], a
+    if not zeros and num.count(num[0]) == len(num):
+        return -num[0], len(num)
+    return None
 
 
 def _value(ambient: FieldDesc, num: tuple, den: int) -> FieldValue:

@@ -18,13 +18,14 @@ answered heuristically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import index
 from typing import List, Sequence, Tuple
 
 from .errors import DimensionMismatch, SoundnessError, Unsupported, ZeroCoordinate
-from .field import CYCLOTOMIC, RATIONAL
+from .field import CYCLOTOMIC, RATIONAL, cyclotomic_monomial
 from .orbit import ProjPoint
 
 
@@ -137,10 +138,21 @@ def exponent_matrix(values: Sequence[Fraction]) -> Tuple[List[int], List[List[in
 
 @dataclass(frozen=True)
 class RelLattice:
-    """Sublattice of Z^(n+1) of multiplicative relations, basis in HNF."""
+    """Sublattice of Z^(n+1) of multiplicative relations, basis in HNF.
+
+    pivots holds the column of each basis row's first nonzero entry,
+    found once; it takes no part in equality, hashing or repr.
+    """
 
     dimension: int
     basis: tuple  # tuple of integer tuples
+    pivots: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        pivots = tuple(next((i for i, x in enumerate(row) if x), None) for row in self.basis)
+        if None in pivots:
+            raise ValueError("a lattice basis row is zero")
+        object.__setattr__(self, "pivots", pivots)
 
     @property
     def rank(self) -> int:
@@ -150,27 +162,21 @@ class RelLattice:
 def _cyclotomic_parts(P: ProjPoint) -> Tuple[List[Fraction], List[int], int]:
     """Split coordinates q * zeta^a into (rationals q, torsion exponents a).
 
-    Requires every coordinate to be a monomial in zeta; raises
-    Unsupported otherwise.  In the basis 1, zeta, ..., zeta^(ell-2) a
-    monomial has one nonzero coefficient q at a, except q * zeta^(ell-1)
-    = -q (1 + zeta + ... + zeta^(ell-2)), whose ell - 1 coefficients all
-    equal -q.
+    Requires every coordinate to be a monomial in zeta (see
+    field.cyclotomic_monomial); raises Unsupported otherwise.
     """
-    ell = P.ambient.cyclotomic_order
     rationals = []
     torsion = []
     for c in P.coords:
-        nonzero = [(i, coeff) for i, coeff in enumerate(c.coeffs) if coeff]
-        if len(nonzero) == ell - 1 and len(set(c.coeffs)) == 1:
-            nonzero = [(ell - 1, -c.coeffs[0])]
-        if len(nonzero) != 1:
+        monomial = cyclotomic_monomial(c)
+        if monomial is None:
             raise Unsupported(
                 "relation lattice supports cyclotomic coordinates of the form "
                 "q * zeta^a only")
-        a, q = nonzero[0]
-        rationals.append(q)
+        q, a = monomial
+        rationals.append(Fraction(q, c.den))
         torsion.append(a)
-    return rationals, torsion, ell
+    return rationals, torsion, P.ambient.cyclotomic_order
 
 
 def relation_lattice(P: ProjPoint) -> RelLattice:
@@ -224,14 +230,17 @@ def relation_lattice(P: ProjPoint) -> RelLattice:
 def lattice_reduce(L: RelLattice, v: Sequence[int]) -> List[int]:
     """The canonical representative of v modulo the lattice: for each HNF
     row in order, the entry at its pivot is taken into [0, pivot).  Two
-    vectors differ by a lattice vector iff their representatives agree."""
-    v = [int(x) for x in v]
+    vectors differ by a lattice vector iff their representatives agree.
+    Raises ValueError for an entry that is not an integer."""
+    try:
+        v = list(map(index, v))
+    except TypeError:
+        raise ValueError("lattice vectors need integer entries") from None
     if len(v) != L.dimension:
         raise DimensionMismatch(
             f"vector of length {len(v)} against a lattice in Z^{L.dimension}")
-    for row in L.basis:
-        pivot_col = next(i for i, x in enumerate(row) if x)
-        q = v[pivot_col] // row[pivot_col]
+    for row, col in zip(L.basis, L.pivots):
+        q = v[col] // row[col]
         if q:
             v = [a - q * b for a, b in zip(v, row)]
     return v

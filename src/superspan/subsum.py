@@ -12,7 +12,11 @@ searches exhaustively for the finest partition of S_{r+1} into zero-sum
 blocks with no vanishing proper subsums, classifies partitions against
 the distinguished partitions I-bullet-t = { {sigma : sigma(j) = t} : j },
 and builds the per-block projectively-normalized fingerprints whose
-collisions witness non-injectivity.
+collisions witness non-injectivity.  A fingerprint holds no field value:
+each ratio of two terms is the product of the coordinates raised to an
+exponent vector of sum 0, and the fingerprint holds that vector reduced
+modulo the relation lattice R(P), so it is defined exactly on the points
+relation_lattice supports.
 
 Permutations are tuples in one-line notation; the canonical order is
 lexicographic, blocks are sorted by least element, and partitions are
@@ -22,7 +26,7 @@ compared blockwise, so every artifact here is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from itertools import islice, permutations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -35,6 +39,7 @@ from .errors import (
     ZeroCoordinate,
 )
 from .orbit import ExactOrbit, ProjPoint, check_orbits, checked_power, validate_exp_tuple
+from .relations import RelLattice, lattice_reduce, relation_lattice
 
 Perm = Tuple[int, ...]
 
@@ -285,25 +290,48 @@ def deleted_row_rank(A, t: int) -> int:
     return linalg.rank(rows[:t] + rows[t + 1:])
 
 
+@lru_cache(maxsize=64)
+def _relations_of(P: ProjPoint) -> RelLattice:
+    """relation_lattice(P), computed once per point."""
+    return relation_lattice(P)
+
+
 def fingerprint(P: ProjPoint, d: int, m: Sequence[int],
                 partitions: Dict[Tuple[int, ...], TermPartition]) -> tuple:
-    """Per-block projective normalization of the term values.
+    """Per-block projective normalization of the terms, as exponent vectors.
 
-    For every column selection p (in sorted order) and every block of
-    its partition (in canonical order), the value tuple is scaled so its
-    first entry is 1.  Equal fingerprints for different tuples m witness
-    that the normalized term data cannot separate them.
+    The term of sigma at column selection p is the product of the
+    coordinates alpha_j raised to e(sigma)_j, where e(sigma)[p(i)] =
+    d^(m_sigma(i)) and every other entry is 0.  For every column
+    selection p (in sorted order) and every block of its partition (in
+    canonical order), the fingerprint holds, for each sigma after the
+    block's first, lead, the vector lattice_reduce(R(P), e(sigma) -
+    e(lead)): the term ratio sigma / lead reduced modulo the relation
+    lattice R(P).  The difference has coordinate sum 0, so two ratios
+    are equal iff their representatives agree, and fingerprints are
+    equal exactly when the normalized term values are.  Equal
+    fingerprints for different tuples m witness that the normalized term
+    data cannot separate them.  No field value is computed.  Points
+    outside relation_lattice's domain (number fields, cyclotomic points
+    with a coordinate not of the form q * zeta^a) raise Unsupported.
     """
+    lattice = _relations_of(P)
+    m = validate_exp_tuple(m)
     r = len(m) - 1
-    one = P.ambient.one()
+    powers = [checked_power(d, mi) for mi in m]
     out = []
     for p in sorted(partitions):
         part = partitions[p]
         if part.r != r:
             raise ShapeMismatch(f"partition for p={p} indexes r={part.r}, tuple has r={r}")
-        tv = det_terms(P, d, m, p)
-        values = {perm: value for perm, _, value in tv.entries}
+        p = _validate_columns(p, r, P.dim)
         for block in part.blocks:
-            lead_inv = values[block[0]].inverse()
-            out.append((one, *(values[perm] * lead_inv for perm in block[1:])))
+            lead = [powers[k] for k in block[0]]
+            reps = []
+            for sigma in block[1:]:
+                diff = [0] * len(P.coords)
+                for col, k, e in zip(p, sigma, lead):
+                    diff[col] = powers[k] - e
+                reps.append(tuple(lattice_reduce(lattice, diff)))
+            out.append(tuple(reps))
     return tuple(out)

@@ -360,6 +360,74 @@ def test_kernel_matches_fraction_reference(case, e):
         assert_canonical(a / q, tuple(x / q for x in ca))
 
 
+def ref_pow(K, a, e):
+    """a**e on a Fraction coefficient tuple by square-and-multiply on ref_mul."""
+    result = embed(K, 1)
+    while e:
+        if e & 1:
+            result = ref_mul(K, result, a)
+        e >>= 1
+        if e:
+            a = ref_mul(K, a, a)
+    return result
+
+
+MONOMIAL_FIELDS = [field.cyclotomic_field(ell) for ell in (3, 5, 7, 11)]
+
+
+def monomial_coeffs(K, q, a):
+    """The coefficients of q * zeta^a, 0 <= a < ell, in the basis 1, zeta,
+    ..., zeta^(ell-2): zeta^(ell-1) is -(1 + zeta + ... + zeta^(ell-2))."""
+    n = K.degree
+    if a == n:
+        return (-q,) * n
+    return tuple(q if i == a else Fraction(0) for i in range(n))
+
+
+@st.composite
+def monomial_powers(draw):
+    """q * zeta^a with q negative or with a denominator allowed, and e
+    from 1..3 ell (multiples of ell among them), 2^11 or 3^9."""
+    K = draw(st.sampled_from(MONOMIAL_FIELDS))
+    ell = K.cyclotomic_order
+    a = draw(st.integers(0, ell - 1))
+    q = draw(st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3)))
+    e = draw(st.one_of(st.integers(1, 3 * ell), st.sampled_from([2 ** 11, 3 ** 9])))
+    return K, q, a, e
+
+
+@PROPERTY
+@given(monomial_powers())
+@example((MONOMIAL_FIELDS[3], Fraction(-3, 2), 10, 3 ** 9))
+@example((MONOMIAL_FIELDS[0], Fraction(-1), 2, 3))
+@example((MONOMIAL_FIELDS[2], Fraction(2, 3), 6, 2 ** 11))
+def test_monomial_powers_match_square_and_multiply(case):
+    K, q, a, e = case
+    coeffs = monomial_coeffs(K, q, a)
+    v = field.FieldValue(K, coeffs)
+    c, b = field.cyclotomic_monomial(v)
+    assert (Fraction(c, v.den), b) == (q, a)
+    assert_canonical(v ** e, ref_pow(K, coeffs, e))
+    assert field.cyclotomic_monomial(v ** e) == (c ** e, a * e % K.cyclotomic_order)
+
+
+@pytest.mark.parametrize("K", MONOMIAL_FIELDS)
+def test_non_monomial_powers_match_square_and_multiply(K):
+    a = (Fraction(1), Fraction(2)) + (Fraction(0),) * (K.degree - 2)  # 1 + 2 zeta
+    v = field.FieldValue(K, a)
+    assert field.cyclotomic_monomial(v) is None
+    for e in (1, 2, 3, K.cyclotomic_order, 2 ** 6 + 1):
+        assert_canonical(v ** e, ref_pow(K, a, e))
+
+
+def test_monomials_only_in_cyclotomic_fields():
+    assert field.cyclotomic_monomial(Q.from_rational(2)) is None
+    K = field.number_field(SEXTIC)
+    assert field.cyclotomic_monomial(K.gen()) is None
+    assert field.cyclotomic_monomial(C5.zero()) is None
+    assert field.cyclotomic_monomial(C5.from_rational(Fraction(-2, 3))) == (-2, 0)
+
+
 # ring -> the rational roots of f.  Each f is irreducible or a product of
 # linear factors, so a is a zero divisor exactly when it vanishes at one
 # of these roots.

@@ -13,6 +13,7 @@ import superspan
 from superspan import field, relations
 from superspan.cli import main as cli_main
 from superspan.errors import DimensionMismatch, SoundnessError, Unsupported, ZeroCoordinate
+from superspan.jsonio import encode_lattice
 from superspan.orbit import ProjPoint, iterate
 from superspan.relations import (
     RelLattice,
@@ -122,6 +123,29 @@ def test_lattice_contains_examples():
     assert not lattice_contains(L, (1, 0, -1, 0))
     with pytest.raises(DimensionMismatch):
         lattice_contains(L, (1, 1, -1))
+
+
+@pytest.mark.parametrize("v", [[0.5, -0.5], [Fraction(1, 2), Fraction(-1, 2)],
+                               [2.0, -2.0], ["2", "-2"]])
+def test_lattice_reduce_refuses_non_integer_entries(v):
+    # truncating would take [0.5, -0.5] to the lattice vector (0, 0)
+    L = RelLattice(2, ((2, -2),))
+    with pytest.raises(ValueError, match="integer entries"):
+        lattice_contains(L, v)
+    with pytest.raises(ValueError, match="integer entries"):
+        lattice_reduce(L, v)
+
+
+def test_pivots_leave_equality_hash_and_encoding_alone():
+    built = relation_lattice(ProjPoint.rational([1, 6, 2, 3]))
+    given_basis = RelLattice(4, ((1, 1, -1, -1),))
+    assert given_basis == built and hash(given_basis) == hash(built)
+    assert built.pivots == given_basis.pivots == (0,)
+    assert repr(given_basis) == "RelLattice(dimension=4, basis=((1, 1, -1, -1),))"
+    assert encode_lattice(built) == {"rank": 1, "basis": [[1, 1, -1, -1]]}
+    assert RelLattice(3, ((2, 0, -2), (0, 3, -3))).pivots == (0, 1)
+    with pytest.raises(ValueError, match="row is zero"):
+        RelLattice(2, ((2, -2), (0, 0)))
 
 
 @pytest.mark.parametrize("coords", [

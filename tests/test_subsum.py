@@ -1,21 +1,23 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
-from superspan import field, linalg
+from superspan import constructions, field, linalg, subsum
 from superspan.errors import (
     ExponentBudgetExceeded,
     IndexOutOfRange,
     NonVanishingTotal,
     ShapeMismatch,
     TooManyTerms,
+    Unsupported,
     ZeroCoordinate,
 )
 from superspan.oracles import vanishing_subsum_bruteforce
 from superspan.orbit import ExactOrbit, ProjPoint, iterate_matrix
+from superspan.relations import relation_lattice
 from superspan.subsum import (
     TermPartition,
     TermVector,
@@ -33,6 +35,7 @@ from superspan.subsum import (
 Q = field.rational_field()
 P123 = ProjPoint.rational([1, 2, 3])
 P12m3 = ProjPoint.rational([1, 2, -3])
+C5_TERMS = field.cyclotomic_field(5)
 
 
 def make_tv(signed_values):
@@ -362,6 +365,97 @@ def test_fingerprint_non_exceptional_no_collision_sample():
         seen[fp] = m
 
 
+def reference_fingerprint(P, d, m, partitions):
+    """The fingerprint on field values: each block's det_terms values,
+    scaled so that the first is 1."""
+    one = P.ambient.one()
+    out = []
+    for p in sorted(partitions):
+        values = {perm: value for perm, _, value in det_terms(P, d, m, p).entries}
+        for block in partitions[p].blocks:
+            lead_inv = values[block[0]].inverse()
+            out.append((one, *(values[perm] * lead_inv for perm in block[1:])))
+    return tuple(out)
+
+
+MIXING = TermPartition.from_blocks(
+    2, [[(0, 1, 2), (1, 2, 0)], [(0, 2, 1), (1, 0, 2)], [(2, 0, 1), (2, 1, 0)]])
+VERDICT_POINTS = {
+    "1,2,3": (P123, 0),
+    "1,2,4": (ProjPoint.rational([1, 2, 4]), 1),
+    "1,z5,2": (ProjPoint(C5_TERMS, [1, C5_TERMS.gen(), 2]), 1),
+}
+
+
+def _one_pair(block):
+    """The partition of S_3 into the given block and singletons."""
+    return TermPartition.from_blocks(
+        2, [block] + [[sigma] for sigma in symmetric_group(2) if sigma not in block])
+
+
+# mixing, the three bullet families, and two families that test the
+# reduction modulo R(P): "cycle" on [1,2,4] and both on [1,z5,2] collide
+# on tuples whose exponent differences differ by a nonzero relation
+VERDICT_FAMILIES = {
+    "mixing": MIXING,
+    **{f"bullet {t}": bullet_partition(2, t) for t in range(3)},
+    "swap 01": _one_pair([(0, 1, 2), (1, 0, 2)]),
+    "cycle": _one_pair([(0, 1, 2), (1, 2, 0)]),
+}
+
+
+@pytest.mark.parametrize("point", sorted(VERDICT_POINTS))
+@pytest.mark.parametrize("family", list(VERDICT_FAMILIES))
+def test_fingerprint_verdicts_match_the_value_reference(point, family):
+    # every ordered pair of increasing 3-tuples below 9: the exponent
+    # fingerprints are equal exactly when the value fingerprints are
+    P, rank = VERDICT_POINTS[point]
+    assert relation_lattice(P).rank == rank
+    fams = {p: VERDICT_FAMILIES[family] for p in column_selections(2, P.dim)}
+    tuples = list(combinations(range(9), 3))
+    exponents = [fingerprint(P, 2, m, fams) for m in tuples]
+    values = [reference_fingerprint(P, 2, m, fams) for m in tuples]
+    for i, j in product(range(len(tuples)), repeat=2):
+        assert (exponents[i] == exponents[j]) == (values[i] == values[j]), \
+            (tuples[i], tuples[j])
+
+
+@pytest.mark.parametrize("P", [
+    constructions.sextic_point(),
+    ProjPoint(C5_TERMS, [1, C5_TERMS.gen() + 1, 2]),
+], ids=["sextic", "non-monomial"])
+def test_fingerprint_refuses_points_without_a_relation_lattice(P):
+    fams = {(0, 1, 2): MIXING}
+    with pytest.raises(Unsupported):
+        fingerprint(P, 2, (0, 1, 2), fams)
+
+
+def test_fingerprint_computes_no_field_value(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("field arithmetic in a fingerprint")
+
+    P = ProjPoint(C5_TERMS, [1, C5_TERMS.gen(), 3])
+    monkeypatch.setattr(subsum, "det_terms", refuse)
+    for name in ("__add__", "__sub__", "__mul__", "__rmul__", "__truediv__",
+                 "__pow__", "__neg__", "inverse"):
+        monkeypatch.setattr(field.FieldValue, name, refuse)
+    fams = {(0, 1, 2): bullet_partition(2, 1)}
+    assert fingerprint(P, 2, (0, 2, 5), fams) == fingerprint(P, 2, (0, 3, 5), fams)
+    assert fingerprint(P, 2, (0, 2, 5), fams) != fingerprint(P, 2, (1, 2, 5), fams)
+
+
+def test_fingerprint_validates_its_input():
+    fams = {(0, 1, 2): MIXING}
+    with pytest.raises(ShapeMismatch):
+        fingerprint(P123, 2, (0, 1, 2, 3), fams)
+    with pytest.raises(ShapeMismatch):
+        fingerprint(P123, 2, (0, 1, 2), {(0, 1, 3): MIXING})
+    with pytest.raises(ExponentBudgetExceeded):
+        fingerprint(P123, 2, (0, 1, 10 ** 6), fams)
+    with pytest.raises(ZeroCoordinate):
+        fingerprint(ProjPoint.rational([1, 0, 3]), 2, (0, 1, 2), fams)
+
+
 def _all_set_partitions(items):
     if not items:
         yield []
@@ -403,9 +497,6 @@ def test_finest_partition_is_canonically_least():
         res = finest_zero_partition(tv)
         assert res.partition.blocks == min(valid)
         assert res.non_unique == (len(set(valid)) > 1)
-
-
-C5_TERMS = field.cyclotomic_field(5)
 
 
 @st.composite
