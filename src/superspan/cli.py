@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 from . import constructions, detect, jsonio, oracles, relations, subsum
 from .errors import (
@@ -187,7 +186,7 @@ def _cmd_verify(args) -> int:
         _emit(args, report)
         return EXIT_OK if all(c["pass"] for c in report["checks"]) else EXIT_CHECK_FAILED
     if args.target == "cyclotomic":
-        tail = [Fraction(t) for t in args.tail.split(",")] if args.tail else []
+        tail = [jsonio.decode_rational(t) for t in args.tail.split(",")] if args.tail else []
         report = constructions.verify_cyclotomic_family(
             args.d if args.d is not None else 2, args.ell, tail, args.max_iter, budget)
         _emit(args, report)

@@ -6,7 +6,11 @@ Everything here is exact; the only non-exact element is a heuristic
 warning about multiplicative dependence of cyclotomic-family tails,
 which is decidable for rationals (prime exponent kernel) but only
 advisory in spirit because the construction is stated for arbitrary
-multiplicatively independent tails.
+multiplicatively independent tails.  The super-spanning of a cyclotomic
+hyperplane is proved without building an iterate: exact membership
+bounds the rank above, and ranks modulo primes, images under a ring
+homomorphism, bound it below; whole iterates are built only where that
+certificate fails.
 """
 
 from __future__ import annotations
@@ -14,12 +18,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, count, permutations
 from operator import itemgetter, sub
 from typing import List, Optional, Sequence
 
 from . import linalg
 from .errors import (
+    AllPrimesBad,
     DegenerateModulus,
     NonPrime,
     NotPrimitiveRoot,
@@ -28,8 +33,8 @@ from .errors import (
     ZeroTail,
 )
 from .field import FieldDesc, cyclotomic_field, is_prime, monicize, number_field
-from .linalg import Subspace, span_canonical
-from .orbit import ExactOrbit, ProjPoint
+from .linalg import Subspace, echelon_mod_p, span_canonical
+from .orbit import SCREEN_PRIMES_FROM, ExactOrbit, ModularOrbit, ProjPoint
 from .relations import lattice_reduce, relation_lattice
 
 # the degree-6 example polynomial, raw integer form 2x^6+6x^5+5x^4+5x^2+6x+2
@@ -115,23 +120,35 @@ def cyclotomic_family(d: int, ell: int, tail: Sequence) -> CyclotomicFamily:
     coords = [C.one(), zeta] + [C.from_rational(t) for t in tail]
     point = ProjPoint(C, coords)
     n = len(coords) - 1
-    hyperplanes = []
-    for i in range(1, ell):
-        rows = [[C.one(), zeta ** i] + [C.zero()] * (n - 1)]
-        for k in range(2, n + 1):
-            row = [C.zero()] * (n + 1)
-            row[k] = C.one()
-            rows.append(row)
-        hyperplanes.append(span_canonical(rows))
-    return CyclotomicFamily(ell, d, tail, point, tuple(hyperplanes))
+    # the rows (1, zeta^i, 0, ..., 0), e_2, ..., e_n of H_i are in RREF
+    zeros = (C.zero(),) * (n - 1)
+    units = tuple(tuple(C.one() if j == k else C.zero() for j in range(n + 1))
+                  for k in range(2, n + 1))
+    hyperplanes = tuple(Subspace(n, ((C.one(), zeta ** i, *zeros), *units))
+                        for i in range(1, ell))
+    return CyclotomicFamily(ell, d, tail, point, hyperplanes)
 
 
 def verify_cyclotomic_family(d: int, ell: int, tail: Sequence,
                              max_iter: int = 20, budget: Optional[int] = None) -> dict:
-    """Exact verification of the family's membership pattern and of the
-    super-spanning of each hyperplane by n+1 orbit points.  An iterate
-    whose exponent d^m exceeds the budget raises ExponentBudgetExceeded,
-    and a max_iter below 0, which leaves no iterate to check, ValueError."""
+    """Verification of the family's membership pattern and of the
+    super-spanning of each hyperplane H_i by the n+1 orbit points
+    base + k(ell - 1), k = 0..n, where d^base = i mod ell.
+
+    Membership is exact and reads only coordinates 0 and 1 of an iterate
+    (see ExactOrbit.member), so the tail is never raised to d^m.  The
+    super-spanning of H_i is settled by a certificate that builds no
+    iterate either: the n+1 rows lie on H_i, of rank n, so they have rank
+    at most n, and when every n of them have rank n modulo some prime of a
+    ModularOrbit of the point, they have rank n exactly, as reduction is a
+    ring homomorphism.  Then the rows super-span, and their span is H_i.
+    A hyperplane that the certificate leaves open (a row off H_i, an
+    n-subset of lower rank at every prime, no usable prime) takes the
+    exact path: the whole iterates, super_rank and span_canonical.
+
+    An iterate whose exponent d^m exceeds the budget raises
+    ExponentBudgetExceeded, and a max_iter below 0, which leaves no
+    iterate to check, ValueError."""
     if max_iter < 0:
         raise ValueError(f"max_iter {max_iter} must be >= 0, or no iterate is checked")
     family = cyclotomic_family(d, ell, tail)
@@ -151,11 +168,18 @@ def verify_cyclotomic_family(d: int, ell: int, tail: Sequence,
                 detail = f"pattern fails at n={m}, i={i}"
     checks.append({"name": "membership_pattern", "pass": pattern_ok, "detail": detail})
 
+    try:
+        modular = ModularOrbit(P, d, filter(is_prime, count(SCREEN_PRIMES_FROM, 2)), 2)
+    except AllPrimesBad:
+        modular = None
     span_ok = True
     detail = f"each H_i super-spanned by {n + 1} orbit points"
     for i in range(1, ell):
         base = family.return_index(i)
         indices = [base + k * (ell - 1) for k in range(n + 1)]
+        if (all(orbit.member(m, family.hyperplane(i)) for m in indices)
+                and _subsets_certified(modular, indices, n)):
+            continue
         rows = orbit.rows(indices)
         if not linalg.super_rank(rows):
             span_ok = False
@@ -167,6 +191,15 @@ def verify_cyclotomic_family(d: int, ell: int, tail: Sequence,
     checks.append({"name": "superspanned_hyperplanes", "pass": span_ok,
                    "detail": detail})
     return {"checks": checks}
+
+
+def _subsets_certified(orbit: Optional[ModularOrbit], indices: Sequence[int], r: int) -> bool:
+    """True iff every r of the iterates have rank r modulo some prime of
+    the orbit, which proves rank r exactly; False without an orbit."""
+    return orbit is not None and all(
+        any(len(echelon_mod_p([orbit.row(p, m) for m in subset], p)) == r
+            for p in orbit.primes)
+        for subset in combinations(indices, r))
 
 
 # ----------------------------------------------------------------------

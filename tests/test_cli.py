@@ -449,13 +449,34 @@ def test_verify_cyclotomic_honours_budget(how):
 def test_verify_cyclotomic_reads_only_the_hyperplane_coordinates():
     # whether iterate m lies on x1 = zeta^i x0 never depends on the tail:
     # 2^(2^40) and 3^(2^40), which the pattern check once built, are never
-    # computed, while zeta^(2^40) is cheap
-    out = _run_limited(["verify", "cyclotomic", "--ell", "5", "--d", "2",
-                        "--tail", "2,3", "--max-iter", "40"])
-    assert out.returncode == 0, out.stderr
-    checks = json.loads(out.stdout)["checks"]
-    assert [c["name"] for c in checks] == ["membership_pattern", "superspanned_hyperplanes"]
-    assert all(c["pass"] is True for c in checks)
+    # computed, while zeta^(2^40) is cheap.  The super-spanning iterates
+    # reach 3^23 and 2^43 in the other families, and their tails are read
+    # modulo primes only
+    for argv in (["--ell", "5", "--d", "2", "--tail", "2,3", "--max-iter", "40"],
+                 ["--ell", "7", "--d", "3", "--tail", "2,5", "--max-iter", "6"],
+                 ["--ell", "11", "--d", "2", "--tail", "2,3", "--max-iter", "12"],
+                 ["--ell", "5", "--d", "2", "--tail", "2,3,7", "--max-iter", "20"]):
+        out = _run_limited(["verify", "cyclotomic", *argv])
+        assert out.returncode == 0, (argv, out.stderr)
+        checks = json.loads(out.stdout)["checks"]
+        assert [c["name"] for c in checks] == ["membership_pattern", "superspanned_hyperplanes"]
+        assert all(c["pass"] is True for c in checks)
+
+
+def test_verify_cyclotomic_meets_the_budget_before_memory_runs_out():
+    # iterate 15 of d = 7 is past the default budget: membership reads its
+    # exponent before any tail entry is raised to 7^11
+    out = _run_limited(["verify", "cyclotomic", "--ell", "5", "--d", "7", "--tail", "2,3",
+                        "--max-iter", "5"])
+    assert out.returncode == 3, out.stderr
+    assert out.stdout == ""
+    assert "exceeds the exponent budget" in out.stderr
+
+
+def test_verify_cyclotomic_zero_denominator_in_tail(capsys):
+    code, out, err = run_cli(capsys, "verify", "cyclotomic", "--tail", "1/0")
+    assert code == 2 and out == ""
+    assert "zero denominator" in err
 
 
 def test_verify_lemmas(capsys):

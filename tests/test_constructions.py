@@ -1,7 +1,9 @@
 import warnings
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from superspan import constructions, linalg, relations
 from superspan.constructions import (
@@ -15,14 +17,16 @@ from superspan.constructions import (
     verify_sextic_example,
 )
 from superspan.errors import (
+    AllPrimesBad,
     DegenerateModulus,
+    ExponentBudgetExceeded,
     NonPrime,
     NotPrimitiveRoot,
     OffQuadric,
     WrongRelationRank,
     ZeroTail,
 )
-from superspan.orbit import ProjPoint, iterate, subspace_membership
+from superspan.orbit import ExactOrbit, ProjPoint, iterate, subspace_membership
 
 
 def test_primitive_root_examples():
@@ -47,6 +51,18 @@ def test_family_construction():
     assert fam.point.dim == 3
     for i in range(1, 5):
         assert fam.hyperplane(i).dim_projective == 2
+
+
+@pytest.mark.parametrize("tail", [(), (2,), (2, 3), (2, 3, 7)])
+def test_family_hyperplanes_are_canonical_spans(tail):
+    # H_i is built from its RREF rows directly; span_canonical agrees
+    fam = cyclotomic_family(2, 5, tail)
+    C, n = fam.point.ambient, fam.point.dim
+    for i in range(1, 5):
+        rows = [[C.one(), C.gen() ** i] + [C.zero()] * (n - 1)]
+        rows += [[C.one() if j == k else C.zero() for j in range(n + 1)]
+                 for k in range(2, n + 1)]
+        assert fam.hyperplane(i) == linalg.span_canonical(rows)
 
 
 def test_family_not_primitive_root():
@@ -89,6 +105,98 @@ def test_verify_cyclotomic_family():
     assert all(c["pass"] for c in report["checks"])
     names = [c["name"] for c in report["checks"]]
     assert names == ["membership_pattern", "superspanned_hyperplanes"]
+
+
+def exact_cyclotomic_verification(d, ell, tail, max_iter, budget=None):
+    """The family's verification with every hyperplane settled on whole
+    iterates: rows, super_rank and span_canonical."""
+    family = cyclotomic_family(d, ell, tail)
+    n = family.point.dim
+    orbit = ExactOrbit(family.point, d, budget)
+    pattern_ok = True
+    detail = f"phi^n(P) in H_i iff d^n = i mod {ell}, for 0 <= n <= {max_iter}"
+    for m in range(max_iter + 1):
+        for i in range(1, ell):
+            if orbit.member(m, family.hyperplane(i)) != (pow(d, m, ell) == i):
+                pattern_ok = False
+                detail = f"pattern fails at n={m}, i={i}"
+    checks = [{"name": "membership_pattern", "pass": pattern_ok, "detail": detail}]
+    span_ok = True
+    detail = f"each H_i super-spanned by {n + 1} orbit points"
+    for i in range(1, ell):
+        indices = [family.return_index(i) + k * (ell - 1) for k in range(n + 1)]
+        rows = orbit.rows(indices)
+        if not linalg.super_rank(rows):
+            span_ok = False
+            detail = f"H_{i}: iterates {indices} do not super-span"
+        elif linalg.span_canonical(rows) != family.hyperplane(i):
+            span_ok = False
+            detail = f"H_{i}: span of iterates {indices} is not H_{i}"
+    checks.append({"name": "superspanned_hyperplanes", "pass": span_ok, "detail": detail})
+    return {"checks": checks}
+
+
+def outcome(verify, *args):
+    """The report, or the type and message of the error raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # dependent tails warn
+        try:
+            return verify(*args)
+        except ExponentBudgetExceeded as exc:
+            return type(exc), str(exc)
+
+
+PRIMITIVE_ROOTS = {ell: [d for d in range(2, 12) if d % ell and is_primitive_root(d, ell)]
+                   for ell in (3, 5, 7)}
+NONZERO_RATIONALS = st.builds(Fraction, st.integers(-7, 7).filter(bool), st.integers(1, 5))
+
+
+@st.composite
+def family_cases(draw):
+    ell = draw(st.sampled_from(sorted(PRIMITIVE_ROOTS)))
+    d = draw(st.sampled_from(PRIMITIVE_ROOTS[ell]))
+    tail = tuple(draw(st.lists(NONZERO_RATIONALS, max_size=3)))
+    # a budget that keeps the exact reference's iterates below 2^16 bits
+    # per unit of height
+    return d, ell, tail, draw(st.integers(0, 8)), draw(st.sampled_from([2 ** 10, 2 ** 16]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(family_cases())
+@example((2, 5, (2, 3), 8, 2 ** 16))
+@example((2, 5, (), 8, 2 ** 10))
+@example((2, 5, (2, 2), 8, 2 ** 16))
+@example((2, 5, (Fraction(2), Fraction(1, 2)), 8, 2 ** 16))
+@example((3, 7, (-1,), 8, 2 ** 10))
+@example((2, 3, (1,), 8, 2 ** 10))
+@example((2, 3, (2, 3, 5), 8, 2 ** 16))
+def test_verify_cyclotomic_family_matches_the_exact_verification(case):
+    assert outcome(verify_cyclotomic_family, *case) == \
+        outcome(exact_cyclotomic_verification, *case)
+
+
+def test_verify_cyclotomic_family_without_a_prime_takes_the_exact_path(monkeypatch):
+    def no_prime(*args):
+        raise AllPrimesBad("no usable filter prime")
+
+    calls = []
+    super_rank = linalg.super_rank
+    monkeypatch.setattr(constructions, "ModularOrbit", no_prime)
+    monkeypatch.setattr(linalg, "super_rank", lambda rows: calls.append(1) or super_rank(rows))
+    report = verify_cyclotomic_family(2, 5, (2, 3), 12)
+    assert len(calls) == 4  # one exact check per hyperplane
+    assert report == exact_cyclotomic_verification(2, 5, (2, 3), 12)
+    assert all(c["pass"] for c in report["checks"])
+
+
+def test_verify_cyclotomic_family_certificate_builds_no_iterate(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a whole iterate was built")
+
+    monkeypatch.setattr(ExactOrbit, "rows", refuse)
+    monkeypatch.setattr(linalg, "super_rank", refuse)
+    report = verify_cyclotomic_family(2, 5, (2, 3), 20)
+    assert all(c["pass"] for c in report["checks"])
 
 
 def test_sextic_verification():
