@@ -142,9 +142,11 @@ def verify_cyclotomic_family(d: int, ell: int, tail: Sequence,
     at most n, and when every n of them have rank n modulo some prime of a
     ModularOrbit of the point, they have rank n exactly, as reduction is a
     ring homomorphism.  Then the rows super-span, and their span is H_i.
-    A hyperplane that the certificate leaves open (a row off H_i, an
-    n-subset of lower rank at every prime, no usable prime) takes the
-    exact path: the whole iterates, super_rank and span_canonical.
+    Rows on H_i of a point with two equal coordinates do not super-span,
+    which needs no row either.  Any other hyperplane that the certificate
+    leaves open (a row off H_i, an n-subset of lower rank at every prime,
+    no usable prime) takes the exact path: the whole iterates, super_rank
+    and span_canonical.
 
     An iterate whose exponent d^m exceeds the budget raises
     ExponentBudgetExceeded, and a max_iter below 0, which leaves no
@@ -172,16 +174,18 @@ def verify_cyclotomic_family(d: int, ell: int, tail: Sequence,
         modular = ModularOrbit(P, d, filter(is_prime, count(SCREEN_PRIMES_FROM, 2)), 2)
     except AllPrimesBad:
         modular = None
+    # x0 = 1 and the tail: two equal coordinates stay equal in every iterate
+    repeated = len({1, *family.tail}) < n
     span_ok = True
     detail = f"each H_i super-spanned by {n + 1} orbit points"
     for i in range(1, ell):
         base = family.return_index(i)
         indices = [base + k * (ell - 1) for k in range(n + 1)]
-        if (all(orbit.member(m, family.hyperplane(i)) for m in indices)
-                and _subsets_certified(modular, indices, n)):
+        on_hyperplane = all(orbit.member(m, family.hyperplane(i)) for m in indices)
+        if on_hyperplane and not repeated and _subsets_certified(modular, indices, n):
             continue
-        rows = orbit.rows(indices)
-        if not linalg.super_rank(rows):
+        # rows on H_i and on x_j = x_k have rank at most n - 1
+        if (on_hyperplane and repeated) or not linalg.super_rank(rows := orbit.rows(indices)):
             span_ok = False
             detail = f"H_{i}: iterates {indices} do not super-span"
             continue

@@ -11,9 +11,9 @@ x^k mod f, k >= deg(f), computed once per minimal polynomial.  The
 inverse of a = (g / den) * b, g the content of a's numerators, solves
 b * y = 1 in the integer matrix of the columns b * x^k with bareiss,
 the fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
-1968) that linalg also runs on rational matrices; g goes first, as the
-minors of c * b carry c^deg(f).  A singular matrix means that a is a
-zero divisor of a reducible f.  A power of a monomial q * zeta^a of
+1968) that linalg runs on every matrix; g goes first, as the minors of
+c * b carry c^deg(f).  A singular matrix means that a is a zero divisor
+of a reducible f.  A power of a monomial q * zeta^a of
 Q(zeta_ell) is q^e * zeta^(a*e mod ell), two int powers; every other
 power goes by square-and-multiply.  Only _pmod, which reduces overlong
 coefficient lists, still works on Fraction polynomials.  All operations
@@ -138,20 +138,25 @@ def is_prime(n: int) -> bool:
 # ----------------------------------------------------------------------
 
 def bareiss(mat: list) -> tuple:
-    """Fraction-free Gauss-Jordan elimination of an integer matrix in
-    place (Bareiss, Math. Comp. 22, 1968); returns (pivot columns, last
-    pivot, swap sign).
+    """Fraction-free Gauss-Jordan elimination in place of a matrix of ints
+    or of FieldValues of one field (Bareiss, Math. Comp. 22, 1968);
+    returns (pivot columns, last pivot, swap sign, pivot inverses).
 
     Each pivot is the first nonzero entry of its column at or below the
     pivot row.  Every other row is zeroed in the pivot column and updated
-    on the columns after it, so each entry there is a minor of mat and
-    each division is exact.  At the end the last pivot is the determinant
-    of the pivot rows at the pivot columns, each column after the last
-    pivot column is the last pivot times its RREF column, and every other
-    entry is zero exactly where its RREF value is zero.
+    on the columns after it to (c * pivot - f * e) / previous pivot, so
+    each entry there is a minor of mat and each division is exact: // on
+    ints, on field values a product with the previous pivot's inverse,
+    taken once and returned in order.  At the end the last pivot is the
+    determinant of the pivot rows at the pivot columns, and the columns
+    from pivot column j up to the next one are pivot j times their RREF
+    columns.  Over the fields Q and Q(zeta_ell) the last pivot is never
+    inverted.  Q[x]/(f) is a field only for an irreducible f, which
+    nothing checks, so there it is, and any pivot that is a zero divisor
+    raises NonInvertible.
     """
     nrows = len(mat)
-    pivots = []
+    pivots, inverses = [], []
     prev, sign = 1, 1
     for col in range(len(mat[0]) if mat else 0):
         k = len(pivots)
@@ -165,15 +170,26 @@ def bareiss(mat: list) -> tuple:
             sign = -sign
         pivot_row = mat[k]
         piv = pivot_row[col]
+        ints = type(piv) is int
+        zero = 0 if ints else piv.ambient.zero()
+        if k and not ints:
+            inverses.append(inv := prev.inverse())
         for i, row in enumerate(mat):
             if i != k:
                 f = row[col]
-                row[col + 1:] = [(c * piv - f * e) // prev
-                                 for c, e in zip(row[col + 1:], pivot_row[col + 1:])]
-                row[col] = 0
+                pairs = zip(row[col + 1:], pivot_row[col + 1:])
+                if ints:
+                    row[col + 1:] = [(c * piv - f * e) // prev for c, e in pairs]
+                elif k:
+                    row[col + 1:] = [(c * piv - f * e) * inv for c, e in pairs]
+                else:
+                    row[col + 1:] = [c * piv - f * e for c, e in pairs]
+                row[col] = zero
         pivots.append(col)
         prev = piv
-    return pivots, prev, sign
+    if pivots and not ints and prev.ambient.kind == NUMBER_FIELD:
+        inverses.append(prev.inverse())
+    return pivots, prev, sign, inverses
 
 
 # ----------------------------------------------------------------------
@@ -439,7 +455,7 @@ class FieldValue:
         rows = [[v.num[i] * (D // v.den) for v in cols] + [D if i == 0 else 0]
                 for i in range(n)]
         # with a pivot in every column of b, column n is det * y
-        pivots, det, _ = bareiss(rows)
+        pivots, det, _, _ = bareiss(rows)
         if pivots != list(range(n)):
             raise NonInvertible("element is a zero divisor (reducible minimal polynomial)")
         sign = -1 if det < 0 else 1

@@ -1,13 +1,13 @@
 """Exact linear algebra over the ambient field.
 
-Two Gauss-Jordan kernels do all exact elimination.  Rank, determinant
-and super_rank over the rationals scale the rows to integers and run
-field.bareiss, the fraction-free kernel that field inverses also run
-on; the rest, the RREF included, runs _field_eliminate, which divides
-exactly.  Subspaces are kept in RREF, the canonical representation used
-to deduplicate the map from iterate tuples to their spans.  super_rank
-needs at most one elimination, of A^T, and reads the left kernel of A
-off its free column.
+One kernel does all exact elimination: field.bareiss, the fraction-free
+Gauss-Jordan elimination that field inverses also run on.  Rank,
+determinant, RREF and super_rank scale rational rows to integers and
+pass the rows of any other field as they are; the RREF is read off the
+eliminated matrix.  Subspaces are kept in RREF, the canonical
+representation used to deduplicate the map from iterate tuples to their
+spans.  super_rank needs at most one elimination, of A^T, and reads the
+left kernel of A off its free column.
 
 The modular rank filter certifies full rank of an iterate matrix from a
 single prime.  Evaluating a value at a root of f mod p is a ring
@@ -35,7 +35,7 @@ from math import lcm
 from typing import List, Sequence
 
 from .errors import ShapeMismatch
-from .field import FieldDesc, FieldValue, RATIONAL, bareiss
+from .field import FieldValue, RATIONAL, bareiss
 
 
 def _coerce_rows(rows) -> List[List[FieldValue]]:
@@ -47,16 +47,15 @@ def _coerce_rows(rows) -> List[List[FieldValue]]:
     return out
 
 
-def _ambient_of(rows: Sequence[Sequence[FieldValue]]) -> FieldDesc:
-    return rows[0][0].ambient
-
-
 # ----------------------------------------------------------------------
-# rank and determinant
+# rank, determinant and RREF
 # ----------------------------------------------------------------------
 
-def _integer_rows(rows):
-    """Rational rows scaled to integer rows, and the product of the scales."""
+def _kernel_rows(rows):
+    """The rows as bareiss takes them, and the product of the row scales:
+    rational rows scaled to integer rows, other rows as they are."""
+    if rows[0][0].ambient.kind != RATIONAL:
+        return rows, 1
     out = []
     scale = 1
     for row in rows:
@@ -66,46 +65,12 @@ def _integer_rows(rows):
     return out, scale
 
 
-def _field_eliminate(rows: List[List[FieldValue]]):
-    """Gauss-Jordan elimination with exact division, leaving the RREF in
-    rows; returns (pivot columns, pivot product, swap sign).  Pivots are
-    inverted, so a zero divisor raises NonInvertible."""
-    nrows = len(rows)
-    pivots = []
-    sign = 1
-    ambient = _ambient_of(rows)
-    zero, one = ambient.zero(), ambient.one()
-    det = one
-    for col in range(len(rows[0])):
-        k = len(pivots)
-        if k == nrows:
-            break
-        p = next((i for i in range(k, nrows) if not rows[i][col].is_zero()), None)
-        if p is None:
-            continue
-        if p != k:
-            rows[k], rows[p] = rows[p], rows[k]
-            sign = -sign
-        piv = rows[k][col]
-        det = det * piv
-        inv = piv.inverse()
-        rows[k][col:] = pivot_row = [one] + [v * inv for v in rows[k][col + 1:]]
-        for i, row in enumerate(rows):
-            f = row[col]
-            if i != k and not f.is_zero():
-                row[col:] = [zero] + [a - f * b for a, b in zip(row[col + 1:], pivot_row[1:])]
-        pivots.append(col)
-    return pivots, det, sign
-
-
 def rank(rows) -> int:
     """Exact rank of a matrix of field values."""
     rows = _coerce_rows(rows)
     if not rows or not rows[0]:
         return 0
-    if _ambient_of(rows).kind == RATIONAL:
-        return len(bareiss(_integer_rows(rows)[0])[0])
-    return len(_field_eliminate(rows)[0])
+    return len(bareiss(_kernel_rows(rows)[0])[0])
 
 
 def det(rows) -> FieldValue:
@@ -114,25 +79,37 @@ def det(rows) -> FieldValue:
     n = len(rows)
     if not n or len(rows[0]) != n:
         raise ShapeMismatch("determinant needs a nonempty square matrix")
-    ambient = _ambient_of(rows)
-    if ambient.kind == RATIONAL:
-        int_rows, scale = _integer_rows(rows)
-        pivots, last_pivot, sign = bareiss(int_rows)
-        if len(pivots) < n:
-            return ambient.zero()
-        return ambient.from_rational(Fraction(sign * last_pivot, scale))
-    pivots, pivot_product, sign = _field_eliminate(rows)
+    ambient = rows[0][0].ambient
+    mat, scale = _kernel_rows(rows)
+    pivots, last_pivot, sign, _ = bareiss(mat)
     if len(pivots) < n:
         return ambient.zero()
-    return pivot_product * ambient.from_rational(sign)
+    value = last_pivot if sign > 0 else -last_pivot
+    return ambient.element(Fraction(value, scale) if scale != 1 else value)
 
 
 def rref(rows) -> List[List[FieldValue]]:
-    """Reduced row echelon form with leading ones; zero rows dropped."""
+    """Reduced row echelon form with leading ones; zero rows dropped.
+
+    bareiss leaves the columns between pivot column j and the next one
+    as pivot j times their RREF columns, so rows 0..j there are divided
+    by pivot j, through the inverse that bareiss took where it took one."""
     rows = _coerce_rows(rows)
     if not rows or not rows[0]:
         return []
-    return rows[:len(_field_eliminate(rows)[0])]
+    ambient = rows[0][0].ambient
+    mat = _kernel_rows(rows)[0]
+    pivots, _, _, inverses = bareiss(mat)
+    ncols = len(mat[0])
+    zero, one = ambient.zero(), ambient.one()
+    out = [[zero] * ncols for _ in pivots]
+    for j, (p, end) in enumerate(zip(pivots, pivots[1:] + [ncols])):
+        out[j][p] = one
+        if end > p + 1:
+            inv = inverses[j] if j < len(inverses) else ambient.element(mat[j][p]).inverse()
+            for i in range(j + 1):
+                out[i][p + 1:end] = [inv * v if v else zero for v in mat[i][p + 1:end]]
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -170,24 +147,20 @@ def super_rank(rows) -> bool:
     also has rank r (the matrix analogue of super-spanning).
 
     For r >= 2 two equal rows fail at once, as every r rows holding both
-    have rank below r.  Otherwise A^T is eliminated once, by bareiss over
-    Q and by _field_eliminate over a number field.  A has rank r iff A^T
-    has r pivot columns; then the one free column f gives the left-kernel
-    vector c of A, with c_f = 1 and c_(p_i) proportional to the entry of
-    pivot row i at f.  The rows other than row t are independent iff
-    c_t != 0, so A super-spans iff every pivot row is nonzero at f."""
+    have rank below r.  Otherwise A^T is eliminated once by bareiss.  A
+    has rank r iff A^T has r pivot columns; then the one free column f
+    gives the left-kernel vector c of A, with c_f = 1 and c_(p_i)
+    proportional to the entry of pivot row i at f.  The rows other than
+    row t are independent iff c_t != 0, so A super-spans iff every pivot
+    row is nonzero at f."""
     rows = _coerce_rows(rows)
     r = len(rows) - 1
     if r < 0 or len(rows[0]) < len(rows):
         raise ShapeMismatch("need r+1 rows and at least r+1 columns")
     if r >= 2 and len(set(map(tuple, rows))) <= r:
         return False
-    if _ambient_of(rows).kind == RATIONAL:
-        rows, eliminate = _integer_rows(rows)[0], bareiss
-    else:
-        eliminate = _field_eliminate
-    cols = [list(col) for col in zip(*rows)]
-    pivots, _, _ = eliminate(cols)
+    cols = [list(col) for col in zip(*_kernel_rows(rows)[0])]
+    pivots = bareiss(cols)[0]
     if len(pivots) != r:
         return False
     f = min(set(range(r + 1)) - set(pivots))

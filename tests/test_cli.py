@@ -473,6 +473,35 @@ def test_verify_cyclotomic_meets_the_budget_before_memory_runs_out():
     assert "exceeds the exponent budget" in out.stderr
 
 
+@pytest.mark.parametrize("argv, detail", [
+    (["--ell", "7", "--d", "3", "--tail", "2,2", "--max-iter", "3"],
+     "H_6: iterates [3, 9, 15, 21] do not super-span"),
+    (["--ell", "5", "--d", "2", "--tail", "2,2", "--max-iter", "8"],
+     "H_4: iterates [2, 6, 10, 14] do not super-span"),
+    (["--ell", "5", "--d", "2", "--tail", "1"], "H_4: iterates [2, 6, 10] do not super-span"),
+], ids=["ell 7 tail 2,2", "ell 5 tail 2,2", "ell 5 tail 1"])
+def test_verify_cyclotomic_equal_coordinates_fail_without_iterates(argv, detail):
+    # equal coordinates stay equal in every iterate, so no hyperplane is
+    # super-spanned; the rows of --ell 7, which reach 2^(3^21), are never built
+    start = time.monotonic()
+    out = _run_limited(["verify", "cyclotomic", *argv])
+    assert time.monotonic() - start < 10
+    assert out.returncode == 1, out.stderr
+    checks = json.loads(out.stdout)["checks"]
+    assert checks[0]["pass"] is True
+    assert checks[1] == {"detail": detail, "name": "superspanned_hyperplanes", "pass": False}
+
+
+def test_detect_torsion_point_past_m_20():
+    # [1, zeta_5, 2]: every tuple whose indices agree mod 4 is confirmed
+    # exactly, on entries of up to 2^24 bits
+    argv = ["detect", "--field", "cyclotomic:5", "--point", '[["1"],["0","1"],["2"]]',
+            "--d", "2", "--r", "2", "--max-iter", "24"]
+    out = _run_limited(argv)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["tuples"]
+
+
 def test_verify_cyclotomic_zero_denominator_in_tail(capsys):
     code, out, err = run_cli(capsys, "verify", "cyclotomic", "--tail", "1/0")
     assert code == 2 and out == ""

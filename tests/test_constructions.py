@@ -199,6 +199,19 @@ def test_verify_cyclotomic_family_certificate_builds_no_iterate(monkeypatch):
     assert all(c["pass"] for c in report["checks"])
 
 
+@pytest.mark.parametrize("tail", [(2, 2), (1,), (3, 1, 3)])
+def test_verify_cyclotomic_family_with_equal_coordinates_builds_no_iterate(monkeypatch, tail):
+    def refuse(*args):
+        raise AssertionError("a whole iterate was built")
+
+    expected = outcome(exact_cyclotomic_verification, 2, 5, tail, 8)
+    monkeypatch.setattr(ExactOrbit, "rows", refuse)
+    monkeypatch.setattr(linalg, "super_rank", refuse)
+    report = outcome(verify_cyclotomic_family, 2, 5, tail, 8)
+    assert report == expected
+    assert report["checks"][1]["pass"] is False
+
+
 def test_sextic_verification():
     report = verify_sextic_example()
     assert len(report["checks"]) == 4

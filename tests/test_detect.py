@@ -155,6 +155,16 @@ def test_filtered_equals_unfiltered():
         assert slow.diagnostics["filtered"] == 0
 
 
+def test_torsion_point_filtered_equals_unfiltered():
+    # criterion 8 on [1, zeta_5, 2]: the filter certifies no tuple whose
+    # indices agree mod 4, and the unfiltered run confirms all 455 exactly
+    P = ProjPoint(C5, [C5.one(), ZETA, C5.from_rational(2)])
+    fast = enumerate_exceptional(P, 2, 2, 14)
+    slow = enumerate_exceptional(P, 2, 2, 14, prime_count=0)
+    assert fast.tuples and fast.semantic_content() == slow.semantic_content()
+    assert slow.diagnostics["exact_checked"] == comb(15, 3)
+
+
 def test_r0_unsupported():
     with pytest.raises(Unsupported):
         enumerate_exceptional(ProjPoint.rational([1, 2, 3]), 2, 0, 3)

@@ -7,10 +7,13 @@ from hypothesis import event, example, given, settings, strategies as st
 
 from superspan import field, linalg
 from superspan.constructions import sextic_field
-from superspan.errors import AllPrimesBad, ShapeMismatch
+from superspan.errors import AllPrimesBad, NonInvertible, ShapeMismatch
 from superspan.orbit import ModularOrbit, ProjPoint, iterate_matrix
 
 Q = field.rational_field()
+C5 = field.cyclotomic_field(5)
+K6 = sextic_field()
+ZETA = C5.gen()
 
 
 def qrows(data):
@@ -156,11 +159,12 @@ def test_cyclotomic_filter_matches_exact():
     assert linalg.rank(iterate_matrix(P, 2, (0, 4, 8)).rows()) == 3
 
 
-def _fraction_gauss_jordan(data):
-    """Independent oracle: textbook Gauss-Jordan elimination on Fractions,
-    with the first nonzero row as pivot.  Returns (pivot columns, the
-    reduced rows, the original index of each reduced row)."""
-    rows = [[Fraction(x) for x in row] for row in data]
+def _fraction_gauss_jordan(data, one=Fraction(1)):
+    """Independent oracle: textbook Gauss-Jordan elimination with exact
+    division, over Fractions or over the field values of one ambient
+    (pass its one), with the first nonzero row as pivot.  Returns (pivot
+    columns, the reduced rows, the original index of each reduced row)."""
+    rows = [[one * x for x in row] for row in data]
     order = list(range(len(rows)))
     pivots = []
     for col in range(len(rows[0])):
@@ -228,12 +232,20 @@ def test_det_against_permutation_expansion():
 
 
 @st.composite
-def integer_matrices(draw):
-    """Small integer matrices, wide, tall or square, whose rows are
-    sometimes combinations of earlier rows (singular, rank-deficient)."""
-    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
-    mat = [draw(st.lists(st.integers(-6, 6), min_size=ncols, max_size=ncols))
-           for _ in range(nrows)]
+def field_values(draw, K):
+    if K.degree == 1:
+        return K.from_rational(Fraction(draw(st.integers(-4, 4)), draw(st.sampled_from([1, 2, 3]))))
+    return field.FieldValue(K, draw(st.lists(st.integers(-2, 2), min_size=K.degree,
+                                             max_size=K.degree)))
+
+
+@st.composite
+def matrices(draw, entries, max_rows, max_cols):
+    """Small matrices of the given entries, wide, tall or square, whose
+    rows are sometimes combinations of earlier rows (singular,
+    rank-deficient)."""
+    nrows, ncols = draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols))
+    mat = [draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
     for i in range(1, nrows):
         if draw(st.booleans()):
             a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
@@ -242,49 +254,91 @@ def integer_matrices(draw):
     return mat
 
 
+@st.composite
+def field_matrices(draw):
+    """Matrices over Q, Q(zeta_5) or the sextic, whose entries are often
+    zero, so pivots move and columns vanish."""
+    K = draw(st.sampled_from([Q, C5, K6]))
+    return draw(matrices(st.just(K.zero()) | field_values(K), 4, 5))
+
+
+@st.composite
+def elimination_cases(draw):
+    """(matrix, one): an integer matrix with the Fraction 1, or a field
+    matrix with its field's one."""
+    if draw(st.booleans()):
+        return draw(matrices(st.integers(-6, 6), 5, 6)), Fraction(1)
+    mat = draw(field_matrices())
+    return mat, mat[0][0].ambient.one()
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(integer_matrices())
-@example([[0, 1, 2], [0, 2, 4], [0, 3, 7]])   # zero first column, dependent row
-@example([[1, 2, 3], [2, 4, 5], [3, 6, 9]])   # free column between pivots
-def test_bareiss_matches_fraction_gauss_jordan(data):
+@given(elimination_cases())
+@example(([[0, 1, 2], [0, 2, 4], [0, 3, 7]], Fraction(1)))  # zero first column, dependent row
+@example(([[1, 2, 3], [2, 4, 5], [3, 6, 9]], Fraction(1)))  # free column between pivots
+# pivot columns 0, 2 and 4 over Q(zeta_5), each followed by a free column
+@example(([[C5.one(), ZETA, C5.zero(), ZETA ** 2, C5.zero(), C5.one()],
+           [ZETA, ZETA ** 2, C5.one(), C5.zero(), C5.zero(), ZETA],
+           [C5.zero(), C5.zero(), ZETA, -ZETA ** 4, ZETA ** 3, C5.one()]], C5.one()))
+def test_bareiss_matches_fraction_gauss_jordan(case):
+    data, one = case
     mat = [list(row) for row in data]
-    pivots, last, sign = field.bareiss(mat)
-    expected, reduced, order = _fraction_gauss_jordan(data)
+    pivots, last, sign, inverses = field.bareiss(mat)
+    expected, reduced, order = _fraction_gauss_jordan(data, one)
     assert pivots == expected
     k = len(pivots)
     block = [[data[i][c] for c in pivots] for i in order[:k]]
-    assert last == (_naive_det(block) if k else 1)
+    assert last == (_naive_det(block, one) if k else 1)
     if len(data) == len(data[0]):
-        assert sign * last * (k == len(data)) == _naive_det(data)
-    # columns after the last pivot column are last times the RREF column
-    for c in range(pivots[-1] + 1 if pivots else 0, len(data[0])):
-        assert [Fraction(row[c], last) for row in mat] == [row[c] for row in reduced]
-    # entries left stale keep the zero pattern of their RREF value
-    assert [[bool(v) for v in row] for row in mat] == [[bool(v) for v in row] for row in reduced]
+        assert (sign * last if k == len(data) else 0) == _naive_det(data, one)
+    # each column from pivot column j up to the next pivot column is pivot
+    # j times its RREF column, the segments rref reads; the columns before
+    # the first pivot column are zero
+    for c in range(len(data[0])):
+        j = sum(p <= c for p in pivots) - 1
+        scale = mat[j][pivots[j]] if j >= 0 else 0
+        assert [row[c] for row in mat] == [scale * row[c] for row in reduced]
+    # an inverse of every pivot but the last, over Q[x]/(f) of the last too
+    if isinstance(one, Fraction):
+        assert inverses == []
+    else:
+        kind = one.ambient.kind
+        assert len(inverses) == max(k - 1, 0) + (k > 0 and kind == field.NUMBER_FIELD)
+        assert all(inv * mat[j][pivots[j]] == 1 for j, inv in enumerate(inverses))
+        event(kind)
     event(f"{len(data)}x{len(data[0])}, rank {k}")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(field_matrices())
+def test_rank_and_rref_match_fraction_gauss_jordan(rows):
+    K = rows[0][0].ambient
+    pivots, reduced, _ = _fraction_gauss_jordan(rows, K.one())
+    assert linalg.rank(rows) == len(pivots)
+    assert linalg.rref(rows) == reduced[:len(pivots)]
+    event(f"{K.kind}, {len(rows)}x{len(rows[0])}, rank {len(pivots)}")
+
+
+@pytest.mark.parametrize("operation", [linalg.rank, linalg.det, linalg.rref, linalg.super_rank],
+                         ids=lambda op: op.__name__)
+def test_last_pivot_zero_divisor_raises(operation):
+    # Q[x]/(x^2 - 1) is not a field: (x + 1)(x - 1) = 0.  The pivots are 1
+    # and (x + 2) - 1 = x + 1, a zero divisor; the matrix is symmetric, so
+    # super_rank meets the same pivots in A^T
+    R = field.number_field([-1, 0, 1])
+    one, x = R.one(), R.gen()
+    with pytest.raises(NonInvertible):
+        operation([[one, one], [one, x + 2]])
 
 
 # ----------------------------------------------------------------------
 # super_rank against its definition
 # ----------------------------------------------------------------------
 
-C5 = field.cyclotomic_field(5)
-K6 = sextic_field()
-ZETA = C5.gen()
-
-
 def super_rank_by_definition(rows):
     r = len(rows) - 1
     return linalg.rank(rows) == r and all(linalg.rank(list(sub)) == r
                                           for sub in combinations(rows, r))
-
-
-@st.composite
-def field_values(draw, K):
-    if K.degree == 1:
-        return K.from_rational(Fraction(draw(st.integers(-4, 4)), draw(st.sampled_from([1, 2, 3]))))
-    return field.FieldValue(K, draw(st.lists(st.integers(-2, 2), min_size=K.degree,
-                                             max_size=K.degree)))
 
 
 @st.composite
@@ -345,7 +399,6 @@ def test_repeated_rows_need_no_elimination(monkeypatch):
         raise AssertionError("eliminated")
 
     monkeypatch.setattr(linalg, "bareiss", refuse)
-    monkeypatch.setattr(linalg, "_field_eliminate", refuse)
     a, b = qrows([[1, 2, -3], [1, 4, 9]])
     assert not linalg.super_rank([a, b, a])
     z = [[C5.one(), ZETA ** k, ZETA ** (2 * k), ZETA ** (3 * k)] for k in (1, 2, 1, 3)]
