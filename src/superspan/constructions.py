@@ -143,10 +143,12 @@ def verify_cyclotomic_family(d: int, ell: int, tail: Sequence,
     ModularOrbit of the point, they have rank n exactly, as reduction is a
     ring homomorphism.  Then the rows super-span, and their span is H_i.
     Rows on H_i of a point with two equal coordinates do not super-span,
-    which needs no row either.  Any other hyperplane that the certificate
-    leaves open (a row off H_i, an n-subset of lower rank at every prime,
-    no usable prime) takes the exact path: the whole iterates, super_rank
-    and span_canonical.
+    which needs no row either: n of them lie on H_i and on x_j = x_k, of
+    rank n - 1.  For even d so do coordinates equal up to sign, equal in
+    every iterate but iterate 0, which at most one row is.  Any other
+    hyperplane that the certificate leaves open (a row off H_i, an
+    n-subset of lower rank at every prime, no usable prime) takes the
+    exact path: the whole iterates, super_rank and span_canonical.
 
     An iterate whose exponent d^m exceeds the budget raises
     ExponentBudgetExceeded, and a max_iter below 0, which leaves no
@@ -174,8 +176,9 @@ def verify_cyclotomic_family(d: int, ell: int, tail: Sequence,
         modular = ModularOrbit(P, d, filter(is_prime, count(SCREEN_PRIMES_FROM, 2)), 2)
     except AllPrimesBad:
         modular = None
-    # x0 = 1 and the tail: two equal coordinates stay equal in every iterate
-    repeated = len({1, *family.tail}) < n
+    # x0 = 1 and the tail: two equal coordinates stay equal in every
+    # iterate, and for even d two equal up to sign from iterate 1 on
+    repeated = len({1, *(map(abs, family.tail) if d % 2 == 0 else family.tail)}) < n
     span_ok = True
     detail = f"each H_i super-spanned by {n + 1} orbit points"
     for i in range(1, ell):

@@ -6,15 +6,16 @@ certified full-rank by the modular filter, confirms the survivors with
 exact super-rank checks, groups the confirmed tuples by the canonical
 form of their span, and counts how many orbit points up to M each
 resulting subspace contains.  The tuples are taken by their first r - 1
-indices: per prime, the modular filter reduces each later row once
-against the echelon basis of that prefix, and a pair of later rows
-leaves the tuple uncertified only when their residuals are dependent,
-so the filter costs one row reduction mod p per index and prefix, not
-one rank check per tuple.
-The count reuses the filter's residue rows and its elimination kernel:
-L's basis is echeloned once per filter prime, an iterate is certified
-off L when its row leaves a nonzero residual against it, and only the
-remaining candidates are tested exactly.  Confirmation, grouping and
+indices: per prime, the modular filter reduces each later row against
+the rows of that prefix, and a pair of later rows leaves the tuple
+uncertified only when their residuals are dependent.  At the first
+prime a prefix shares its parent's residuals, so the filter costs one
+elimination step mod p per index and prefix, not one rank check per
+tuple.
+The count reuses the filter's residue rows: L's basis is echeloned
+once per filter prime, an iterate is certified off L when its row
+leaves a nonzero residual against it, and only the remaining
+candidates are tested exactly.  Confirmation, grouping and
 the count share one ExactOrbit, which computes each coordinate power at
 most once; a tuple repeating an orbit point (r >= 2) needs no
 elimination.

@@ -16,14 +16,16 @@ nonzero minor found by elimination on plain ints mod p proves a nonzero
 minor exactly.  Entries are v ** e with e = d^m mod (p-1), or p-1 when
 that is 0 so a zero entry stays zero (Fermat), which keeps the filter
 cost independent of the size of d^m.  One call decides every tuple
-that extends an (r-1)-prefix by two later indices: the prefix's r - 1
-rows are echeloned once per prime, each later row is reduced once
-against that basis, and the rows are grouped by their residual up to
-scaling, so the cost is one reduction per index rather than one rank
-check per tuple.  One elimination kernel works mod p: echelon_mod_p
-builds an echelon basis row by row and residual_mod_p reduces a row
-against it, for the filter's prefix bases and for the subspaces of the
-intersection counts alike.
+that extends an (r-1)-prefix by two later indices: each later row is
+reduced against the prefix's rows, and the rows are grouped by their
+residual up to scaling, with one inverse for all the leads of a prefix
+and prime.  At the first prime the residuals are shared along the
+prefix path (ModularOrbit.residuals), so a (prefix, index) pair costs
+one elimination step rather than r - 1, and no tuple costs a rank check.
+The elimination kernels mod p: eliminate_mod_p takes one step against
+a row, for the filter; echelon_mod_p builds an echelon basis row by row
+and residual_mod_p reduces a row against it, for the subspaces of the
+intersection counts.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from .errors import ShapeMismatch
 from .field import FieldValue, RATIONAL, bareiss
@@ -201,16 +203,51 @@ def echelon_mod_p(rows: Sequence[Sequence[int]], p: int) -> tuple:
     return basis
 
 
-def _uncertified_pairs(classes: dict) -> set:
-    """The pairs (c, l), c < l, of indices whose residuals are dependent:
-    classes maps each residual scaled to a leading 1 (None for a zero
-    residual) to its indices, in increasing order."""
-    zero = classes.get(None, [])
-    pairs = set(combinations(zero, 2))
-    for key, members in classes.items():
-        if key is not None:
-            pairs.update(combinations(members, 2))
-            pairs.update((min(z, i), max(z, i)) for z in zero for i in members)
+def eliminate_mod_p(rows: Sequence[Sequence[int]], p: int) -> Optional[list]:
+    """rows[1:] reduced mod p against rows[0], or None when rows[0] is
+    zero: one elimination step each, with rows[0] scaled to 1 at its first
+    nonzero column, so each result is zero in that column."""
+    first = rows[0]
+    col = next((j for j, v in enumerate(first) if v), None)
+    if col is None:
+        return None
+    inv = pow(first[col], -1, p)
+    b = [v * inv % p for v in first]
+    return [[(a - f * x) % p for a, x in zip(row, b)] if (f := row[col]) else row
+            for row in rows[1:]]
+
+
+def _uncertified_pairs(indices: Sequence[int], residuals: Sequence[Sequence[int]],
+                       p: int) -> set:
+    """The pairs (c, l), c < l, of indices whose residuals mod p are
+    dependent: a zero residual with any other, and two residuals in one
+    class, the residual scaled to a leading 1.  The leads are inverted
+    with one pow (Montgomery's batch inversion): the inverse of their
+    product is walked back through the prefix products."""
+    leads, products = [], []  # products[k]: the product of the nonzero leads before k
+    acc = 1
+    for res in residuals:
+        products.append(acc)
+        for v in res:
+            if v:
+                acc = acc * v % p
+                break
+        leads.append(v)  # 0 when the residual is zero
+    inv = pow(acc, -1, p)
+    classes, zero = {}, []
+    for k in range(len(leads) - 1, -1, -1):
+        v = leads[k]
+        if v:
+            s = inv * products[k] % p  # the inverse of v
+            inv = inv * v % p
+            classes.setdefault(tuple([x * s % p for x in residuals[k]]), []).append(indices[k])
+        else:
+            zero.append(indices[k])
+    if not zero and len(classes) == len(leads):
+        return set()  # no zero residual, and every class a single index
+    pairs = {(min(z, i), max(z, i)) for z in zero for i in indices if i != z}
+    for members in classes.values():
+        pairs.update(combinations(members[::-1], 2))  # members run downwards
     return pairs
 
 
@@ -222,38 +259,44 @@ def modular_rank_filter(orbit, prefix: Sequence[int], max_iter: int) -> list:
     orbit is the run's ModularOrbit: its row for (p, i) is the image of
     iterate i under a ring homomorphism to F_p, so a rank r + 1 mod p
     proves rank r + 1 exactly, and no large integer is ever formed.  At
-    a prime where the prefix's echelon basis has r - 1 rows, reducing a
-    row against it is linear with the prefix's span as kernel, so the
-    tuple has rank r + 1 mod p iff the residuals of c and l are
-    independent: both nonzero and not multiples of one another.  The
-    indices are grouped by their residual scaled to a leading 1, and the
-    prime leaves uncertified only the pairs within a class and the pairs
-    with a zero residual.  A prime where the prefix drops rank certifies
-    nothing.  The uncertified sets of the primes are intersected, and a
-    later prime reduces only the indices still in a pair.
+    a prime, each later row is reduced against the prefix's rows, one
+    elimination step (eliminate_mod_p) per prefix row.  When the prefix
+    keeps rank r - 1 that reduction is linear with the prefix's span as
+    kernel, so the tuple has rank r + 1 mod p iff the residuals of c and
+    l are independent: both nonzero and not multiples of one another.
+    The indices are grouped by their residual scaled to a leading 1, and
+    the prime leaves uncertified only the pairs within a class and the
+    pairs with a zero residual.  A prime where the prefix drops rank
+    certifies nothing.
+
+    At the first prime the residuals come from orbit.residuals, which
+    keeps them along the prefix path: a prefix's residuals are its
+    parent's, each changed by one elimination step, so a (prefix, index)
+    pair costs one row step.  The uncertified sets of the primes are
+    intersected, and each later prime reduces only the indices still in
+    a pair, against all the prefix rows.
     """
     prefix = tuple(prefix)
     indices = range(prefix[-1] + 1 if prefix else 0, max_iter + 1)
-    pairs = None  # uncertified pairs so far; None before a prime certifies
-    for p in orbit.primes:
-        basis = echelon_mod_p([orbit.row(p, i) for i in prefix], p)
-        if len(basis) < len(prefix):
-            continue
+    if len(indices) < 2:
+        return []
+    first, *later = orbit.primes
+    residuals = orbit.residuals(prefix, max_iter)
+    # uncertified pairs so far; None before a prime certifies
+    pairs = None if residuals is None else _uncertified_pairs(indices, residuals, first)
+    for p in later:
         if pairs is not None:
+            if not pairs:
+                break
             indices = sorted({i for pair in pairs for i in pair})
-        classes = {}
-        for i in indices:
-            res = residual_mod_p(basis, orbit.row(p, i), p)
-            lead = next((v for v in res if v), 0)
-            key = None
-            if lead:
-                inv = pow(lead, -1, p)
-                key = tuple(v * inv % p for v in res)
-            classes.setdefault(key, []).append(i)
-        survivors = _uncertified_pairs(classes)
-        pairs = survivors if pairs is None else pairs & survivors
-        if not pairs:
-            break
+        residuals = [orbit.row(p, i) for i in prefix + tuple(indices)]
+        for _ in prefix:
+            residuals = eliminate_mod_p(residuals, p)
+            if residuals is None:
+                break
+        else:  # the prefix keeps its rank at p
+            survivors = _uncertified_pairs(indices, residuals, p)
+            pairs = survivors if pairs is None else pairs & survivors
     if pairs is None:
         pairs = combinations(indices, 2)
     return [prefix + pair for pair in sorted(pairs)]

@@ -301,8 +301,10 @@ class ModularOrbit:
     rationals).  That is a ring homomorphism, so the row of iterate m is
     v_j ** (d^m) = pow(v_j, e, p) by Fermat, with e = d^m mod (p-1)
     taken as p-1 when it is 0, which keeps a zero image 0.
-    Rows are computed lazily, once per (prime, iterate index), and kept;
-    the rank filter does its own elimination on them.
+    Rows are computed lazily, once per (prime, iterate index), and kept.
+    For the first prime the orbit also keeps the rows reduced along the
+    last prefix the rank filter asked for, one map per prefix depth (see
+    residuals); the filter reduces the later primes' rows itself.
 
     Primes are drawn from the iterable until count usable ones are
     found.  A prime is unusable for the point when f has no root mod p
@@ -325,6 +327,9 @@ class ModularOrbit:
         self.bad_primes = {}   # unusable prime drawn -> reason
         self._values = {}      # usable prime -> coordinate images v_j, in draw order
         self._rows = {}        # (prime, iterate index) -> row of residues
+        # the first prime's residual maps along the last prefix asked for:
+        # (prefix index, residuals) per depth, from (-1, rows) at the root
+        self._path, self._path_top = [], None
         reason = None
         for p in islice(primes, self.DRAWS_PER_PRIME * count * point.ambient.degree):
             try:
@@ -351,6 +356,36 @@ class ModularOrbit:
             e = pow(self.degree, m, p - 1) or p - 1
             row = self._rows[p, m] = tuple(pow(v, e, p) for v in self._values[p])
         return row
+
+    def residuals(self, prefix: Sequence[int], max_iter: int) -> Optional[list]:
+        """The rows of iterates prefix[-1] + 1 .. max_iter (0 .. max_iter
+        for an empty prefix) modulo the first prime, reduced against the
+        rows of the increasing prefix, in index order; None when the
+        prefix drops rank there.
+
+        The residuals against (i_1, ..., i_k) are its parent's past i_k,
+        each changed by one elimination step with the residual of i_k
+        (linalg.eliminate_mod_p).  The maps along the last prefix asked
+        for are kept, one per depth, so siblings share their parent's.
+        Another max_iter starts the path over."""
+        p = self.primes[0]
+        if max_iter != self._path_top:
+            self._path = [(-1, [self.row(p, i) for i in range(max_iter + 1)])]
+            self._path_top = max_iter
+        path = self._path
+        k = 0  # depth of the longest kept prefix of prefix
+        while k < len(prefix) and k + 1 < len(path) and path[k + 1][0] == prefix[k]:
+            k += 1
+        del path[k + 1:]
+        parent, rows = path[k]
+        for i in prefix[k:]:
+            if not parent < i <= max_iter:
+                raise ValueError(f"prefix {tuple(prefix)} is not increasing in 0..{max_iter}")
+            if rows is not None:
+                rows = linalg.eliminate_mod_p(rows[i - parent - 1:], p)
+            parent = i
+            path.append((i, rows))
+        return rows
 
 
 def subspace_membership(Q: ProjPoint, L: linalg.Subspace) -> bool:

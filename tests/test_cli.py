@@ -479,7 +479,11 @@ def test_verify_cyclotomic_meets_the_budget_before_memory_runs_out():
     (["--ell", "5", "--d", "2", "--tail", "2,2", "--max-iter", "8"],
      "H_4: iterates [2, 6, 10, 14] do not super-span"),
     (["--ell", "5", "--d", "2", "--tail", "1"], "H_4: iterates [2, 6, 10] do not super-span"),
-], ids=["ell 7 tail 2,2", "ell 5 tail 2,2", "ell 5 tail 1"])
+    # (-2)^(2^m) = 2^(2^m) for m >= 1, and only iterate 0 differs
+    (["--ell", "11", "--d", "2", "--tail", "2,-2", "--max-iter", "12"],
+     "H_10: iterates [5, 15, 25, 35] do not super-span"),
+    (["--ell", "5", "--d", "2", "--tail", "-1"], "H_4: iterates [2, 6, 10] do not super-span"),
+], ids=["ell 7 tail 2,2", "ell 5 tail 2,2", "ell 5 tail 1", "ell 11 tail 2,-2", "ell 5 tail -1"])
 def test_verify_cyclotomic_equal_coordinates_fail_without_iterates(argv, detail):
     # equal coordinates stay equal in every iterate, so no hyperplane is
     # super-spanned; the rows of --ell 7, which reach 2^(3^21), are never built

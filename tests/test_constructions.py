@@ -168,6 +168,8 @@ def family_cases(draw):
 @example((2, 5, (2, 2), 8, 2 ** 16))
 @example((2, 5, (Fraction(2), Fraction(1, 2)), 8, 2 ** 16))
 @example((3, 7, (-1,), 8, 2 ** 10))
+@example((2, 5, (-1,), 8, 2 ** 10))   # x0 = 1 and x2 = -1 agree from iterate 1 on
+@example((2, 5, (2, -2), 8, 2 ** 16))
 @example((2, 3, (1,), 8, 2 ** 10))
 @example((2, 3, (2, 3, 5), 8, 2 ** 16))
 def test_verify_cyclotomic_family_matches_the_exact_verification(case):
@@ -199,7 +201,7 @@ def test_verify_cyclotomic_family_certificate_builds_no_iterate(monkeypatch):
     assert all(c["pass"] for c in report["checks"])
 
 
-@pytest.mark.parametrize("tail", [(2, 2), (1,), (3, 1, 3)])
+@pytest.mark.parametrize("tail", [(2, 2), (1,), (3, 1, 3), (2, -2), (-1,)])
 def test_verify_cyclotomic_family_with_equal_coordinates_builds_no_iterate(monkeypatch, tail):
     def refuse(*args):
         raise AssertionError("a whole iterate was built")

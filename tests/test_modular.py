@@ -4,7 +4,7 @@ and the soundness of the rank filter, over Q, Q(zeta_5) and the sextic."""
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations, islice, repeat
-from math import comb, log
+from math import log
 
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
@@ -552,15 +552,86 @@ def test_filter_matches_per_tuple_reference(case):
     event("every tuple certified" if not expected else "some tuple uncertified")
 
 
+@st.composite
+def filter_path_cases(draw):
+    """(point, d, primes, calls): (prefix, max_iter) filter calls on one
+    orbit.  Each call after the first keeps the start of an earlier
+    prefix (the prefix again, its parent, a sibling or a child) and draws
+    the rest and max_iter, which rises and falls."""
+    P, d, prefix, max_iter, primes = draw(prefix_cases())
+    calls = [(prefix, max_iter)]
+    for _ in range(draw(st.integers(1, 8))):
+        base = draw(st.sampled_from(calls))[0]
+        keep = draw(st.integers(0, len(base)))
+        start = base[keep - 1] + 1 if keep else 0
+        rest = draw(st.lists(st.integers(start, start + 8), max_size=P.dim - 1 - keep,
+                             unique=True))
+        new = base[:keep] + tuple(sorted(rest))
+        calls.append((new, (new[-1] if new else 0) + draw(st.integers(-1, 8))))
+    return P, d, primes, calls
+
+
+P4 = ProjPoint(C5, [1, ZETA, ZETA ** 2, 2])
+
+
+@PROPERTY
+@given(filter_path_cases())
+# (0, 4) drops rank at 31, where 2^16 = 2, and not at 11: first or later
+@example((P4, 2, [31, 11], [((0, 4), 10), ((0, 3), 10), ((0, 4), 8), ((0, 5), 12),
+                            ((0,), 12), ((0, 4), 12), ((1, 4), 12), ((0, 4), 10)]))
+@example((P4, 2, [11, 31], [((0, 4), 10), ((0, 3), 10), ((0, 4), 8), ((0, 5), 12),
+                            ((0,), 12), ((0, 4), 12), ((1, 4), 12), ((0, 4), 10)]))
+@example((ProjPoint.rational([1, 2, -3]), 2, [3, 10007],
+          [((0,), 9), ((1,), 9), ((), 9), ((1,), 6), ((1,), 11), ((0,), 6)]))
+def test_filter_residuals_shared_along_prefix_paths_match_reference(case):
+    P, d, primes, calls = case
+    try:
+        orbit = ModularOrbit(P, d, primes, len(primes))
+    except AllPrimesBad:
+        return
+    for prefix, max_iter in calls:
+        assert linalg.modular_rank_filter(orbit, prefix, max_iter) == \
+            reference_filter(orbit, prefix, max_iter), (prefix, max_iter)
+    if any(len(echelon(orbit, orbit.primes[0], prefix)) < len(prefix) for prefix, _ in calls):
+        event("a prefix drops rank at the first prime")
+
+
 @pytest.mark.parametrize("coords, r, M", [([1, 2, -3], 2, 60), ([1, 2, 3, 6], 3, 24)])
-def test_filter_reduces_each_index_once_per_prefix(monkeypatch, coords, r, M):
-    """The filter reads about one row per index and (r-1)-prefix, not
-    one per tuple: C(M+1, r) against C(M+1, r+1)."""
+def test_filter_shares_residuals_across_prefixes(monkeypatch, coords, r, M):
+    """The filter reads each row at most once per prime: the first
+    prime's residuals are shared along the prefix path, and a later prime
+    reads only the rows still in a pair.  Reducing each index against
+    every prefix would read about C(M+1, r) rows.  [1, 2, -3] has one
+    line, whose intersection count reads the first prime's rows again;
+    [1, 2, 3, 6] has no subspace, so every read is the filter's."""
     calls = []
     row = ModularOrbit.row
     monkeypatch.setattr(ModularOrbit, "row", lambda self, p, m: calls.append(m) or row(self, p, m))
-    enumerate_exceptional(ProjPoint.rational(coords), 2, r, M)
-    assert 0 < len(calls) < 2 * comb(M + 1, r)
+    report = enumerate_exceptional(ProjPoint.rational(coords), 2, r, M)
+    assert 0 < len(calls) <= (M + 1) * len(report.diagnostics["primes"])
+
+
+@pytest.mark.parametrize("prefix", [(3, 1), (2, 2), (-1,)])
+def test_filter_rejects_a_prefix_that_is_not_increasing(prefix):
+    orbit = ModularOrbit(ProjPoint.rational([1, 2, 3, 6]), 2, [10007], 1)
+    with pytest.raises(ValueError, match="not increasing"):
+        linalg.modular_rank_filter(orbit, prefix, 9)
+
+
+@pytest.mark.parametrize("P, M, filtered, exact_checked, confirmed, counts", [
+    (ProjPoint.rational([1, -1, 2]), 14, 91, 364, 364, [14]),
+    (ProjPoint(C5, [1, -1, ZETA]), 7, 18, 38, 20, [7]),
+    (ProjPoint(C5, [1, ZETA, 2]), 18, 935, 34, 34, [5, 5, 5, 4]),
+    (ProjPoint.rational([1, 2, -3]), 200, 1333299, 1, 1, [3]),
+], ids=["1,-1,2", "1,-1,z5", "1,z5,2", "1,2,-3"])
+def test_filter_verdicts_on_runs_with_many_survivors(P, M, filtered, exact_checked,
+                                                     confirmed, counts):
+    # values of the per-prefix filter, which reduced each index against
+    # every prefix row, at the default seed and r = 2
+    report = enumerate_exceptional(P, 2, 2, M)
+    assert (report.diagnostics["filtered"], report.diagnostics["exact_checked"],
+            report.diagnostics["confirmed"]) == (filtered, exact_checked, confirmed)
+    assert [rec.intersection_count for rec in report.subspaces] == counts
 
 
 SQUARE = field.number_field([0, 0, 1])          # x^2
