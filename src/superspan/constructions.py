@@ -33,7 +33,7 @@ from .errors import (
     ZeroTail,
 )
 from .field import FieldDesc, cyclotomic_field, is_prime, monicize, number_field
-from .linalg import Subspace, echelon_mod_p, span_canonical
+from .linalg import Subspace, eliminate_mod_p, span_canonical
 from .orbit import SCREEN_PRIMES_FROM, ExactOrbit, ModularOrbit, ProjPoint
 from .relations import lattice_reduce, relation_lattice
 
@@ -204,7 +204,7 @@ def _subsets_certified(orbit: Optional[ModularOrbit], indices: Sequence[int], r:
     """True iff every r of the iterates have rank r modulo some prime of
     the orbit, which proves rank r exactly; False without an orbit."""
     return orbit is not None and all(
-        any(len(echelon_mod_p([orbit.row(p, m) for m in subset], p)) == r
+        any(eliminate_mod_p([orbit.row(p, m) for m in subset], p, r) is not None
             for p in orbit.primes)
         for subset in combinations(indices, r))
 

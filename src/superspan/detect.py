@@ -12,13 +12,13 @@ uncertified only when their residuals are dependent.  At the first
 prime a prefix shares its parent's residuals, so the filter costs one
 elimination step mod p per index and prefix, not one rank check per
 tuple.
-The count reuses the filter's residue rows: L's basis is echeloned
-once per filter prime, an iterate is certified off L when its row
-leaves a nonzero residual against it, and only the remaining
-candidates are tested exactly.  Confirmation, grouping and
-the count share one ExactOrbit, which computes each coordinate power at
-most once; a tuple repeating an orbit point (r >= 2) needs no
-elimination.
+The count reuses the filter's residue rows and its elimination kernel:
+per filter prime, the rows of the iterates still candidates are reduced
+against L's basis, an iterate is certified off L when its residual is
+nonzero, and only the remaining candidates are tested exactly.
+Confirmation, grouping and the count share one ExactOrbit, which
+computes each coordinate power at most once; a tuple repeating an orbit
+point (r >= 2) needs no elimination.
 
 A preperiodic orbit (every coordinate a root of unity) has finitely
 many distinct points.  A filtered run at r >= 2 works over those, the
@@ -46,8 +46,8 @@ from typing import Iterator, List, Optional
 from . import subsum
 from .errors import BadPrime, ExponentBudgetExceeded, Unsupported, ZeroCoordinate
 from .field import is_prime
-from .linalg import (Subspace, echelon_mod_p, modular_rank_filter, residual_mod_p,
-                     span_canonical, super_rank)
+from .linalg import (Subspace, eliminate_mod_p, modular_rank_filter, span_canonical,
+                     super_rank)
 from .orbit import ExactOrbit, ModularOrbit, ProjPoint, check_ambient, check_orbits
 
 DEFAULT_FILTER_PRIME_COUNT = 3
@@ -98,16 +98,17 @@ def intersection_count(P: ProjPoint, d: int, L: Subspace, max_iter: int,
                        exact: Optional[ExactOrbit] = None) -> int:
     """Number of iterate indices 0 <= m <= max_iter with the iterate on L.
 
-    With the run's orbit, L's basis is mapped to F_p and echeloned once
-    per filter prime, and iterate m is off L when its residue row leaves
-    a nonzero residual against that echelon basis: the map to F_p is a
-    ring homomorphism, so it takes a point of L into the span of the
-    image of L's basis.  That basis is in RREF, so its image keeps all
-    L.rank pivots; a prime dividing a denominator of L is skipped for
-    this L.  Only the other iterates are materialized, from the run's
-    exact orbit or else from a fresh one under the default budget, so
-    the exponent budget limits only them: ExponentBudgetExceeded means
-    that an iterate past the budget could not be certified off L.
+    With the run's orbit, each filter prime maps L's basis to F_p and
+    reduces against it the rows of the iterates still candidates
+    (eliminate_mod_p); an iterate stays a candidate only while its
+    residual is zero.  The map to F_p is a ring homomorphism, so it takes
+    a point of L into the span of the image of L's basis.  That basis is
+    in RREF, so its image keeps all L.rank pivots; a prime dividing a
+    denominator of L is skipped for this L.  Only the candidates left
+    are materialized, from the run's exact orbit or else from a fresh
+    one under the default budget, so the exponent budget limits only
+    them: ExponentBudgetExceeded means that an iterate past the budget
+    could not be certified off L.
     When the orbit is preperiodic (ExactOrbit.period), only its distinct
     iterates 0..M' are tested, each weighed by the number of indices up
     to M that it stands for.
@@ -119,16 +120,16 @@ def intersection_count(P: ProjPoint, d: int, L: Subspace, max_iter: int,
     if exact is None:
         exact = ExactOrbit(P, d)
     classes = _index_classes(exact.period(), max_iter)
-    reduced = {}  # usable prime -> echelon basis of L mod p
+    candidates = range(len(classes))  # the distinct iterates not certified off L
     for p in (orbit.primes if orbit is not None else ()):
         try:
-            reduced[p] = echelon_mod_p([[orbit.image(p, v) for v in row] for row in L.basis], p)
+            basis = [[orbit.image(p, v) for v in row] for row in L.basis]
         except BadPrime:
-            pass
-    return sum(len(indices) for i, indices in enumerate(classes)
-               if not any(any(residual_mod_p(basis, orbit.row(p, i), p))
-                          for p, basis in reduced.items())
-               and exact.member(i, L))
+            continue
+        residuals = eliminate_mod_p(basis + [orbit.row(p, i) for i in candidates], p, L.rank)
+        if residuals is not None:
+            candidates = [i for i, res in zip(candidates, residuals) if not any(res)]
+    return sum(len(classes[i]) for i in candidates if exact.member(i, L))
 
 
 def _index_classes(period: Optional[tuple], max_iter: int) -> list:

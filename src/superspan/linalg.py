@@ -22,10 +22,12 @@ residual up to scaling, with one inverse for all the leads of a prefix
 and prime.  At the first prime the residuals are shared along the
 prefix path (ModularOrbit.residuals), so a (prefix, index) pair costs
 one elimination step rather than r - 1, and no tuple costs a rank check.
-The elimination kernels mod p: eliminate_mod_p takes one step against
-a row, for the filter; echelon_mod_p builds an echelon basis row by row
-and residual_mod_p reduces a row against it, for the subspaces of the
-intersection counts.
+One kernel does all elimination mod p: eliminate_mod_p reduces rows
+against k leading rows, one step per leading row, or finds those rows
+dependent.  It answers every modular rank question: the filter's
+residuals, whether an iterate lies off a subspace (detect's
+intersection counts), and whether r rows have rank r (verify
+cyclotomic).
 """
 
 from __future__ import annotations
@@ -173,48 +175,24 @@ def super_rank(rows) -> bool:
 # modular rank filter
 # ----------------------------------------------------------------------
 
-def residual_mod_p(basis: Sequence[tuple], row: Sequence[int], p: int) -> list:
-    """row reduced mod p against an echelon basis: a list of residues,
-    all zero iff row lies in the span of the basis mod p.
-
-    basis holds (pivot column, row with 1 there) pairs, each row zero at
-    the pivot columns of the pairs before it, so one pass in order
-    clears every pivot column."""
-    row = list(row)
-    for col, b in basis:
-        f = row[col]
-        if f:
-            row = [(a - f * x) % p for a, x in zip(row, b)]
-    return row
-
-
-def echelon_mod_p(rows: Sequence[Sequence[int]], p: int) -> tuple:
-    """An echelon basis mod p of rows, built from each row in order that
-    is independent of the rows before it; its length is the rank mod p.
-    The basis is a tuple of (pivot column, row scaled to pivot 1) pairs,
-    as residual_mod_p reads it."""
-    basis = ()
-    for row in rows:
-        res = residual_mod_p(basis, row, p)
-        col = next((j for j, v in enumerate(res) if v), None)
-        if col is not None:
-            inv = pow(res[col], -1, p)
-            basis += ((col, tuple(v * inv % p for v in res)),)
-    return basis
-
-
-def eliminate_mod_p(rows: Sequence[Sequence[int]], p: int) -> Optional[list]:
-    """rows[1:] reduced mod p against rows[0], or None when rows[0] is
-    zero: one elimination step each, with rows[0] scaled to 1 at its first
-    nonzero column, so each result is zero in that column."""
-    first = rows[0]
-    col = next((j for j, v in enumerate(first) if v), None)
-    if col is None:
-        return None
-    inv = pow(first[col], -1, p)
-    b = [v * inv % p for v in first]
-    return [[(a - f * x) % p for a, x in zip(row, b)] if (f := row[col]) else row
-            for row in rows[1:]]
+def eliminate_mod_p(rows: Sequence[Sequence[int]], p: int, k: int = 1) -> Optional[list]:
+    """rows[k:] reduced mod p against rows[:k], or None when those k rows
+    are dependent mod p; the rows hold residues in 0..p-1.  One
+    elimination step per leading row: it is scaled to 1 at its first
+    nonzero column and cleared from the rows after it, so the next
+    leading row arrives reduced against the ones before.  A residual is
+    zero iff its row lies in the span of rows[:k] mod p; k = 0 returns
+    the rows as they are."""
+    for _ in range(k):
+        first = rows[0]
+        col = next((j for j, v in enumerate(first) if v), None)
+        if col is None:
+            return None
+        inv = pow(first[col], -1, p)
+        b = [v * inv % p for v in first]
+        rows = [[(a - f * x) % p for a, x in zip(row, b)] if (f := row[col]) else row
+                for row in rows[1:]]
+    return rows
 
 
 def _uncertified_pairs(indices: Sequence[int], residuals: Sequence[Sequence[int]],
@@ -274,7 +252,7 @@ def modular_rank_filter(orbit, prefix: Sequence[int], max_iter: int) -> list:
     parent's, each changed by one elimination step, so a (prefix, index)
     pair costs one row step.  The uncertified sets of the primes are
     intersected, and each later prime reduces only the indices still in
-    a pair, against all the prefix rows.
+    a pair, against all the prefix rows in one eliminate_mod_p call.
     """
     prefix = tuple(prefix)
     indices = range(prefix[-1] + 1 if prefix else 0, max_iter + 1)
@@ -289,12 +267,9 @@ def modular_rank_filter(orbit, prefix: Sequence[int], max_iter: int) -> list:
             if not pairs:
                 break
             indices = sorted({i for pair in pairs for i in pair})
-        residuals = [orbit.row(p, i) for i in prefix + tuple(indices)]
-        for _ in prefix:
-            residuals = eliminate_mod_p(residuals, p)
-            if residuals is None:
-                break
-        else:  # the prefix keeps its rank at p
+        residuals = eliminate_mod_p([orbit.row(p, i) for i in prefix + tuple(indices)],
+                                    p, len(prefix))
+        if residuals is not None:  # the prefix keeps its rank at p
             survivors = _uncertified_pairs(indices, residuals, p)
             pairs = survivors if pairs is None else pairs & survivors
     if pairs is None:

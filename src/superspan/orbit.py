@@ -304,7 +304,8 @@ class ModularOrbit:
     Rows are computed lazily, once per (prime, iterate index), and kept.
     For the first prime the orbit also keeps the rows reduced along the
     last prefix the rank filter asked for, one map per prefix depth (see
-    residuals); the filter reduces the later primes' rows itself.
+    residuals); the later primes' rows go to linalg.eliminate_mod_p as
+    the filter and the intersection counts ask for them.
 
     Primes are drawn from the iterable until count usable ones are
     found.  A prime is unusable for the point when f has no root mod p

@@ -6,6 +6,8 @@ from math import comb, log
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 
+from modrank import rank_mod_p
+
 from superspan import detect, field, linalg
 from superspan.constructions import cyclotomic_family, sextic_field, sextic_point
 from superspan.detect import (
@@ -427,6 +429,34 @@ def test_denominator_divisible_by_filter_prime(materialized, primes, exact_indic
     assert indices(materialized) == exact_indices
 
 
+def test_intersection_count_reduces_only_the_candidates_left(monkeypatch):
+    """Each later filter prime reduces, against L's basis, only the rows
+    of the iterates whose residuals the prime before left zero: on
+    [1,2,-3] at M = 200, 201 rows at the first prime and then only the
+    three members of its one subspace."""
+    calls = []
+    kernel = detect.eliminate_mod_p
+
+    def recording(rows, p, k=1):
+        residuals = kernel(rows, p, k)
+        calls.append((p, rows[k:], residuals))
+        return residuals
+
+    monkeypatch.setattr(detect, "eliminate_mod_p", recording)
+    P = ProjPoint.rational([1, 2, -3])
+    report = enumerate_exceptional(P, 2, 2, 200)
+    primes = report.diagnostics["primes"]
+    assert len(primes) == 3 and [rec.intersection_count for rec in report.subspaces] == [3]
+    assert [(p, len(rows)) for p, rows, _ in calls] == list(zip(primes, [201, 3, 3]))
+    orbit = ModularOrbit(P, 2, primes, 3)
+    candidates = range(201)
+    for p, rows, residuals in calls:
+        assert rows == [orbit.row(p, i) for i in candidates]
+        candidates = [i for i, res in zip(candidates, residuals) if not any(res)]
+    # the last candidates are the members, the iterates of the preimage tuple
+    assert report.subspaces[0].preimage == ((0, 1, 2),) and candidates == [0, 1, 2]
+
+
 @pytest.mark.parametrize("coords, d", [([1, 5, 7], 2), ([1, 2, -3], 3), ([1, 2], 2)])
 def test_intersection_count_rejects_another_orbit(coords, d):
     # read from another point's or degree's rows the count would be 0 or 1,
@@ -511,7 +541,7 @@ def test_run_checks_the_uncertified_tuples_in_order(case):
         assume(False)
     tuples = list(combinations(range(M + 1), r + 1))
     uncertified = [m for m in tuples
-                   if not any(len(linalg.echelon_mod_p([orbit.row(p, i) for i in m], p)) == r + 1
+                   if not any(rank_mod_p([orbit.row(p, i) for i in m], p) == r + 1
                               for p in orbit.primes)]
     exact = ExactOrbit(P, d)
     period = exact.period() if r >= 2 else None
@@ -632,7 +662,7 @@ def test_preperiodic_run_matches_materializing_oracle(case):
     orbit = ModularOrbit(P, d, detect._prime_stream(seed), DEFAULT_FILTER_PRIME_COUNT)
     assert report.diagnostics["primes"] == orbit.primes
     uncertified = sum(
-        not any(len(linalg.echelon_mod_p([orbit.row(p, i) for i in m], p)) == r + 1
+        not any(rank_mod_p([orbit.row(p, i) for i in m], p) == r + 1
                 for p in orbit.primes)
         for m in combinations(range(M + 1), r + 1))
     assert report.diagnostics["exact_checked"] == uncertified

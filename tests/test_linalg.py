@@ -5,6 +5,8 @@ from itertools import combinations
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
+from modrank import rank_mod_p
+
 from superspan import field, linalg
 from superspan.constructions import sextic_field
 from superspan.errors import AllPrimesBad, NonInvertible, ShapeMismatch
@@ -108,7 +110,7 @@ def test_modular_filter_certifies_generic():
     orbit = ModularOrbit(P, 2, [10007], 1)
     assert (0, 1, 2) not in linalg.modular_rank_filter(orbit, (0,), 2)
     rows = [orbit.row(10007, i) for i in (0, 1, 2)]
-    assert orbit.primes == [10007] and len(linalg.echelon_mod_p(rows, 10007)) == 3
+    assert orbit.primes == [10007] and rank_mod_p(rows, 10007) == 3
 
 
 def test_modular_filter_candidate():
@@ -124,14 +126,50 @@ def test_modular_filter_all_primes_bad():
 
 
 def test_modular_rank_below_exact():
+    # a full-rank certificate mod p, three rows the kernel finds
+    # independent, proves full exact rank
     rng = random.Random(17)
+    certified = set()
     for _ in range(20):
         data = [[rng.randint(-20, 20) for _ in range(4)] for _ in range(3)]
         exact = linalg.rank(qrows(data))
         for p in (2, 3, 1009):
             mod_rows = [[x % p for x in row] for row in data]
-            assert len(linalg.echelon_mod_p(mod_rows, p)) <= exact
-        assert len(linalg.echelon_mod_p([[x % 1009 for x in row] for row in data], 1009)) == exact
+            assert rank_mod_p(mod_rows, p) <= exact
+            if linalg.eliminate_mod_p(mod_rows, p, 3) is not None:
+                assert exact == 3
+                certified.add(p)
+        assert rank_mod_p(data, 1009) == exact
+    assert certified == {2, 3, 1009}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([2, 3, 5, 7, 10007]),
+       st.integers(1, 5).flatmap(lambda ncols: st.lists(
+           st.lists(st.integers(-30, 30), min_size=ncols, max_size=ncols), max_size=6)),
+       st.data())
+@example(2, [[1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]], None)  # rows[:3] dependent mod 2 only
+@example(3, [[1, 2], [0, 0], [5, 7]], None)                      # a zero row among the first k
+def test_eliminate_mod_p_matches_reference_rank(p, entries, data):
+    """eliminate_mod_p(rows, p, k) is None iff rows[:k] has rank below k
+    mod p; otherwise residual j is zero iff rows[k + j] lies in their
+    span, and it differs from rows[k + j] by a vector of that span.  The
+    examples take k = 3."""
+    rows = [[x % p for x in row] for row in entries]  # the kernel takes residues
+    k = data.draw(st.integers(0, len(rows))) if data is not None else 3
+    residuals = linalg.eliminate_mod_p(rows, p, k)
+    if k == 0:
+        assert residuals == rows
+    assert (residuals is None) == (rank_mod_p(rows[:k], p) < k)
+    if residuals is None:
+        event("leading rows dependent mod p")
+        return
+    assert len(residuals) == len(rows) - k
+    for row, res in zip(rows[k:], residuals):
+        assert all(0 <= v < p for v in res)
+        assert (not any(res)) == (rank_mod_p(rows[:k] + [row], p) == k)
+        assert rank_mod_p(rows[:k] + [row, res], p) == rank_mod_p(rows[:k] + [row], p)
+    event("some residual zero" if any(not any(res) for res in residuals) else "no residual zero")
 
 
 def test_filter_never_certifies_true_exceptional():
@@ -155,7 +193,7 @@ def test_cyclotomic_filter_matches_exact():
     orbit = ModularOrbit(P, 2, [10061], 1)
     assert (0, 4, 8) not in linalg.modular_rank_filter(orbit, (0,), 8)
     rows = [orbit.row(10061, i) for i in (0, 4, 8)]
-    assert orbit.primes == [10061] and len(linalg.echelon_mod_p(rows, 10061)) == 3
+    assert orbit.primes == [10061] and rank_mod_p(rows, 10061) == 3
     assert linalg.rank(iterate_matrix(P, 2, (0, 4, 8)).rows()) == 3
 
 

@@ -9,6 +9,8 @@ from math import log
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 
+from modrank import rank_mod_p
+
 from superspan import field, linalg, modp, orbit as orbit_module
 from superspan.constructions import sextic_field, sextic_point
 from superspan.detect import _prime_stream, enumerate_exceptional, intersection_count
@@ -56,14 +58,15 @@ def image(value, p, root):
     return evaluate(value.num, root, p) * pow(value.den, -1, p) % p
 
 
-def echelon(orbit, p, m):
-    """The echelon basis mod p of the rows of the iterates m."""
-    return linalg.echelon_mod_p([orbit.row(p, i) for i in m], p)
+def rank_at(orbit, p, m):
+    """The rank mod p of the rows of the iterates m, by the reference
+    elimination, not the filter's kernel."""
+    return rank_mod_p([orbit.row(p, i) for i in m], p)
 
 
 def certifying_prime(orbit, m):
     """The first filter prime at which the rows of m have full rank."""
-    return next((p for p in orbit.primes if len(echelon(orbit, p, m)) == len(m)), None)
+    return next((p for p in orbit.primes if rank_at(orbit, p, m) == len(m)), None)
 
 
 def max_index(d, cap):
@@ -458,7 +461,7 @@ def test_filter_never_certifies_rank_deficient(case):
         assert exact == r + 1
     # certified exactly when some prime has rank r + 1
     assert certified == (certifying_prime(orbit, m) is not None)
-    assert all(len(echelon(orbit, p, m)) <= exact for p in orbit.primes)
+    assert all(rank_at(orbit, p, m) <= exact for p in orbit.primes)
 
 
 @st.composite
@@ -507,7 +510,7 @@ def test_filter_verdicts_do_not_depend_on_call_order(case):
         assert orbit.primes == fresh.primes
         assert all(orbit.row(p, i) == fresh.row(p, i) for p in orbit.primes for i in m)
         event("candidate" if m in uncertified else "certified")
-        if any(len(echelon(orbit, p, m[:-1])) < len(m) - 1 for p in orbit.primes):
+        if any(rank_at(orbit, p, m[:-1]) < len(m) - 1 for p in orbit.primes):
             event("a prefix drops rank mod p")
 
 
@@ -517,7 +520,7 @@ def reference_filter(orbit, prefix, max_iter):
     start = prefix[-1] + 1 if prefix else 0
     tuples = (prefix + pair for pair in combinations(range(start, max_iter + 1), 2))
     return [m for m in tuples
-            if not any(len(echelon(orbit, p, m)) == len(m) for p in orbit.primes)]
+            if not any(rank_at(orbit, p, m) == len(m) for p in orbit.primes)]
 
 
 @st.composite
@@ -547,7 +550,7 @@ def test_filter_matches_per_tuple_reference(case):
         return
     expected = reference_filter(orbit, prefix, max_iter)
     assert linalg.modular_rank_filter(orbit, prefix, max_iter) == expected
-    if any(len(echelon(orbit, p, prefix)) < len(prefix) for p in orbit.primes):
+    if any(rank_at(orbit, p, prefix) < len(prefix) for p in orbit.primes):
         event("the prefix drops rank mod p")
     event("every tuple certified" if not expected else "some tuple uncertified")
 
@@ -592,7 +595,7 @@ def test_filter_residuals_shared_along_prefix_paths_match_reference(case):
     for prefix, max_iter in calls:
         assert linalg.modular_rank_filter(orbit, prefix, max_iter) == \
             reference_filter(orbit, prefix, max_iter), (prefix, max_iter)
-    if any(len(echelon(orbit, orbit.primes[0], prefix)) < len(prefix) for prefix, _ in calls):
+    if any(rank_at(orbit, orbit.primes[0], prefix) < len(prefix) for prefix, _ in calls):
         event("a prefix drops rank at the first prime")
 
 
@@ -709,7 +712,7 @@ def test_bad_prime_reasons():
     assert orbit.row(11, 2) == (1, 0, 5)
     orbit = ModularOrbit(P, 2, [11, 31], 2)
     assert (0, 1, 2) not in linalg.modular_rank_filter(orbit, (0,), 2)
-    assert {p: len(echelon(orbit, p, (0, 1, 2))) for p in orbit.primes} == {11: 2, 31: 3}
+    assert {p: rank_at(orbit, p, (0, 1, 2)) for p in orbit.primes} == {11: 2, 31: 3}
     assert certifying_prime(orbit, (0, 1, 2)) == 31
     with pytest.raises(AllPrimesBad, match="no root"):
         ModularOrbit(P, 2, [7, 2], 2)
